@@ -1,7 +1,7 @@
 """Bitmask helpers.
 
 Element sets are plain Python ints with bit i standing for element id i.
-Arbitrary-width ints keep the pure backend free of word-size bookkeeping.
+Arbitrary-width ints keep the kernels free of word-size bookkeeping.
 """
 
 from __future__ import annotations

@@ -10,11 +10,12 @@ the three derived posets this package exists to compute.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import _backend
 from ._bits import bits_of, mask_of
-from .lattice import Interval, Lattice, transitive_reduction_of
+from .lattice import Interval, Lattice
 from .labeling import ArrowLabeling
 
 KINDS = ("all", "wide", "ice")
@@ -73,6 +74,27 @@ def is_ice_interval(lattice: Lattice, iv: Interval) -> bool:
     return lattice.leq(b, bound)
 
 
+def supersets(sets: Sequence[int]) -> list[int]:
+    """For each set, the bitmask of indices k with sets[k] a superset of it.
+
+    Built from label columns: col[p] marks the sets containing p, and the
+    supersets of a set are the AND of the columns of its elements.
+    """
+    full = (1 << len(sets)) - 1
+    col: dict[int, int] = {}
+    for k, s in enumerate(sets):
+        bit = 1 << k
+        for p in bits_of(s):
+            col[p] = col.get(p, 0) | bit
+    up_rel = []
+    for s in sets:
+        acc = full
+        for p in bits_of(s):
+            acc &= col[p]
+        up_rel.append(acc)
+    return up_rel
+
+
 @dataclass(frozen=True)
 class SetFamilyPoset:
     """Distinct label sets of an interval family, ordered by inclusion.
@@ -112,13 +134,7 @@ def derived_poset(lattice: Lattice, labeling: ArrowLabeling, kind: str) -> SetFa
             kge[a] |= bit
 
     images = _backend.interval_images(
-        n,
-        list(lattice.up),
-        list(lattice.down),
-        belowj,
-        kge,
-        list(lattice._cover_ups),
-        kind,
+        n, lattice.up, lattice.down, belowj, kge, lattice._cover_ups, kind
     )
 
     expanded: list[tuple[int, Interval]] = []
@@ -128,13 +144,7 @@ def derived_poset(lattice: Lattice, labeling: ArrowLabeling, kind: str) -> SetFa
     members = tuple(mask for mask, _ in expanded)
     witnesses = tuple(w for _, w in expanded)
 
-    m = len(members)
-    up_rel = [0] * m
-    down_rel = [0] * m
-    for i, small in enumerate(members):
-        for k, big in enumerate(members):
-            if small & ~big == 0:
-                up_rel[i] |= 1 << k
-                down_rel[k] |= 1 << i
-    hasse = transitive_reduction_of(m, up_rel, down_rel)
+    # members sorted by cardinality form a linear extension of inclusion
+    up_rel = supersets(members)
+    hasse = _backend.transitive_reduction(len(members), up_rel)
     return SetFamilyPoset(kind=kind, members=members, hasse=tuple(hasse), witnesses=witnesses)

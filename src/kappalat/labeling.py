@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _backend
-from ._bits import bits_of, highest_bit, lowest_bit
+from ._bits import bits_of
 from .errors import (
     NotAnArrow,
     NotJoinIrreducible,
@@ -40,7 +40,7 @@ class SdViolation:
 
 def semidistributive_witness(lattice: Lattice) -> SdViolation | None:
     """First violating triple of either pairwise law, or None if none exists."""
-    hit = _backend.sd_witness(lattice.n, list(lattice.up), list(lattice.down))
+    hit = _backend.sd_witness(lattice.n, lattice.up, lattice.down, lattice.covers)
     if hit is None:
         return None
     return SdViolation(*hit)
@@ -79,17 +79,13 @@ def join_label(lattice: Lattice, arrow: tuple[int, int]) -> int:
     """The minimum of {x | lower v x = upper}; completely join-irreducible.
 
     The candidate set of a semidistributive lattice contains its own meet;
-    a failed membership check therefore certifies non-semidistributivity
+    a missing minimum therefore certifies non-semidistributivity
     independently of the triple test.
     """
     upper, lower = arrow
     _require_arrow(lattice, arrow)
-    common_down = -1
-    for x in range(lattice.n):
-        if lattice._join2(lower, x) == upper:
-            common_down &= lattice.down[x]
-    j = highest_bit(common_down)
-    if lattice._join2(lower, j) != upper:
+    j = _backend.cover_join_label(lattice.up, lattice.down, upper, lower)
+    if j < 0:
         raise NotSemidistributive(
             f"{{x | {lattice.names[lower]} v x = {lattice.names[upper]}}} has no minimum"
         )
@@ -102,12 +98,8 @@ def meet_label(lattice: Lattice, arrow: tuple[int, int]) -> int:
     """The maximum of {x | upper ^ x = lower}; completely meet-irreducible."""
     upper, lower = arrow
     _require_arrow(lattice, arrow)
-    common_up = -1
-    for x in range(lattice.n):
-        if lattice._meet2(upper, x) == lower:
-            common_up &= lattice.up[x]
-    m = lowest_bit(common_up & ((1 << lattice.n) - 1))
-    if lattice._meet2(upper, m) != lower:
+    m = _backend.cover_meet_label(lattice.up, lattice.down, upper, lower)
+    if m < 0:
         raise NotSemidistributive(
             f"{{x | {lattice.names[upper]} ^ x = {lattice.names[lower]}}} has no maximum"
         )
@@ -160,11 +152,9 @@ def full_labeling(lattice: Lattice) -> ArrowLabeling:
     if witness is not None:
         raise NotSemidistributive(witness.describe(lattice))
 
-    gamma: dict[tuple[int, int], int] = {}
-    mu: dict[tuple[int, int], int] = {}
-    for arrow in lattice.covers:
-        gamma[arrow] = join_label(lattice, arrow)
-        mu[arrow] = meet_label(lattice, arrow)
+    up, down = lattice.up, lattice.down
+    gamma = {a: _backend.cover_join_label(up, down, *a) for a in lattice.covers}
+    mu = {a: _backend.cover_meet_label(up, down, *a) for a in lattice.covers}
 
     jirr = join_irreducibles(lattice)
     mirr = meet_irreducibles(lattice)

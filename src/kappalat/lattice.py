@@ -196,7 +196,11 @@ def build_lattice(names: Sequence[str], covers: Iterable[tuple[str, str]]) -> La
         )
     bottom, top = bottoms[0], tops[0]
 
-    missing = _backend.first_missing_meet(n, up, down)
+    mirr = 0
+    for x in range(n):
+        if len(cover_ups[x]) == 1:
+            mirr |= 1 << x
+    missing = _backend.first_missing_meet(n, up, down, mirr)
     if missing is not None:
         a, b = missing
         raise NotALattice(
@@ -237,8 +241,3 @@ def _topological_order(n: int, cover_pairs: list[tuple[int, int]]) -> list[int]:
         stuck = sorted(set(range(n)) - set(order))
         raise CyclicCovers(f"cover digraph has a cycle through {len(stuck)} elements")
     return order
-
-
-def transitive_reduction_of(n: int, up: Sequence[int], down: Sequence[int]) -> list[tuple[int, int]]:
-    """Cover pairs of an arbitrary reflexive order given as up/down masks."""
-    return _backend.transitive_reduction(n, list(up), list(down))

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import _backend
 from ._bits import bits_of
 from .errors import NotAPartialOrder, TooLarge
-from .intervals import down_jlabel, jlabel, up_jlabel
-from .lattice import Lattice, transitive_reduction_of
+from .intervals import down_jlabel, jlabel, supersets, up_jlabel
+from .lattice import Lattice
 from .labeling import ArrowLabeling
 
 ORDER_KINDS = ("kappa", "clo")
@@ -146,8 +147,8 @@ def order_poset(lattice: Lattice, labeling: ArrowLabeling, kind: str) -> OrderRe
     if kind not in ORDER_KINDS:
         raise ValueError(f"kind must be one of {ORDER_KINDS}, got {kind!r}")
     n = lattice.n
-    up_rel = [0] * n
     if kind == "kappa":
+        up_rel = [0] * n
         exk = extended_kappa_table(lattice, labeling)
         for x in range(n):
             dxk = lattice.down[exk[x]]
@@ -161,13 +162,7 @@ def order_poset(lattice: Lattice, labeling: ArrowLabeling, kind: str) -> OrderRe
         for x in range(n):
             # posethood rests on x being recoverable as the join of its core labels
             assert lattice.join(bits_of(cores[x])) == x
-        for x in range(n):
-            cx = cores[x]
-            mask = 0
-            for y in range(n):
-                if cx & ~cores[y] == 0:
-                    mask |= 1 << y
-            up_rel[x] = mask
+        up_rel = supersets(cores)
 
     down_rel = [0] * n
     for x in range(n):
@@ -180,7 +175,8 @@ def order_poset(lattice: Lattice, labeling: ArrowLabeling, kind: str) -> OrderRe
                 f"{kind} relation not antisymmetric on "
                 f"({lattice.names[x]!r}, {lattice.names[other]!r})"
             )
-    hasse = transitive_reduction_of(n, up_rel, down_rel)
+    # both orders refine the lattice order, whose ids form a linear extension
+    hasse = _backend.transitive_reduction(n, up_rel)
     return OrderRelation(kind=kind, up=tuple(up_rel), hasse=tuple(hasse))
 
 

@@ -109,3 +109,79 @@ def brute_semidistributive(lattice: Lattice) -> bool:
                 if lattice.meet((a, join_x)) != m0:
                     return False
     return True
+
+
+def brute_tables(lattice: Lattice) -> tuple[list[list[int]], list[list[int]]]:
+    """Join and meet tables recomputed pair by pair from leq alone."""
+    r = range(lattice.n)
+    join = [[brute_join(lattice, (x, y)) for y in r] for x in r]
+    meet = [[brute_meet(lattice, (x, y)) for y in r] for x in r]
+    return join, meet
+
+
+def brute_sd_violations(lattice: Lattice) -> set[tuple[str, int, int, int]]:
+    """Every (law, a, x, y) breaking a pairwise semidistributive law.
+
+    A finite lattice satisfies the subset laws of brute_semidistributive
+    iff it satisfies them for pairs, so this set is empty iff the lattice
+    is semidistributive.
+    """
+    join, meet = brute_tables(lattice)
+    n = lattice.n
+    found = set()
+    for a in range(n):
+        for x in range(n):
+            for y in range(n):
+                v = join[a][x]
+                if v == join[a][y] and join[a][meet[x][y]] != v:
+                    found.add(("join", a, x, y))
+                v = meet[a][x]
+                if v == meet[a][y] and meet[a][join[x][y]] != v:
+                    found.add(("meet", a, x, y))
+    return found
+
+
+def brute_arrow_labels(lattice: Lattice) -> dict[tuple[int, int], tuple[int | None, int | None]]:
+    """Per cover (upper, lower): the least x with lower v x = upper and the
+    greatest x with upper ^ x = lower, each None when no such extreme exists."""
+    join, meet = brute_tables(lattice)
+    n = lattice.n
+    labels = {}
+    for upper, lower in brute_covers(lattice):
+        xs = [x for x in range(n) if join[lower][x] == upper]
+        least = [x for x in xs if all(lattice.leq(x, y) for y in xs)]
+        xs = [x for x in range(n) if meet[upper][x] == lower]
+        greatest = [x for x in xs if all(lattice.leq(y, x) for y in xs)]
+        labels[(upper, lower)] = (
+            least[0] if least else None,
+            greatest[0] if greatest else None,
+        )
+    return labels
+
+
+def order_closure(n: int, covers) -> list[list[bool]]:
+    """leq[x][y] of the reflexive-transitive closure of (upper, lower) pairs."""
+    leq = [[x == y for y in range(n)] for x in range(n)]
+    for upper, lower in covers:
+        leq[lower][upper] = True
+    for k in range(n):
+        for i in range(n):
+            if leq[i][k]:
+                for j in range(n):
+                    if leq[k][j]:
+                        leq[i][j] = True
+    return leq
+
+
+def brute_first_missing_meet(n: int, covers) -> tuple[int, int] | None:
+    """First pair (a, b), a < b, without a greatest lower bound, or None.
+
+    Elements 0..n-1 are ordered by the closure of the cover pairs.
+    """
+    leq = order_closure(n, covers)
+    for a in range(n):
+        for b in range(a + 1, n):
+            lowers = [z for z in range(n) if leq[z][a] and leq[z][b]]
+            if not any(all(leq[w][z] for w in lowers) for z in lowers):
+                return (a, b)
+    return None

@@ -11,14 +11,18 @@ from kappalat import (
     down_jlabel,
     full_labeling,
     gen_a2,
+    gen_chain,
     gen_fig1,
+    gen_weak_sym,
     is_ice_interval,
     is_wide_interval,
     jlabel,
     jlabel_scan,
     mask_of,
 )
+from kappalat._backend import transitive_reduction
 from kappalat.errors import InvalidInterval
+from kappalat.intervals import supersets
 
 FIG1_FAMILIES = {
     "all": [
@@ -206,6 +210,40 @@ class TestDerivedPoset:
                 ):
                     expected.add((k, i))
         assert set(fam.hasse) == expected
+
+    @settings(deadline=None)
+    @given(st.sets(st.integers(0, 63)))
+    def test_inclusion_by_label_columns(self, family):
+        sets = sorted(family, key=lambda s: (s.bit_count(), s))
+        up = supersets(sets)
+        assert up == [
+            sum(1 << k for k, big in enumerate(sets) if small & ~big == 0) for small in sets
+        ]
+        expected = [
+            (k, i)
+            for i, small in enumerate(sets)
+            for k, big in enumerate(sets)
+            if i != k
+            and small & ~big == 0
+            and not any(
+                mid not in (small, big) and small & ~mid == 0 and mid & ~big == 0
+                for mid in sets
+            )
+        ]
+        assert transitive_reduction(len(sets), up) == sorted(expected)
+
+    def test_label_sets_wider_than_64_bits(self):
+        # chain(70) has 69 join-irreducibles: label sets span several words
+        lat = gen_chain(70)
+        lab = full_labeling(lat)
+        assert len(derived_poset(lat, lab, "all").members) == 69 * 70 // 2 + 1
+        for kind in ("wide", "ice"):
+            assert len(derived_poset(lat, lab, kind).members) == 70
+
+    def test_weak_sym_6_all(self):
+        lat = gen_weak_sym(6)
+        lab = full_labeling(lat)
+        assert len(derived_poset(lat, lab, "all").members) == 21932
 
     def test_bad_kind(self):
         lat = gen_a2()

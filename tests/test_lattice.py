@@ -97,6 +97,28 @@ class TestBuild:
                 ],
             )
 
+    def test_not_a_lattice_pendant_bowtie(self):
+        # every element is the meet of the meet-irreducibles above it, yet
+        # a and b (both meet-irreducible) have two maximal lower bounds c, d
+        with pytest.raises(NotALattice, match="'a' and 'b'"):
+            build_lattice(
+                ["0", "c", "d", "a", "b", "e", "f", "1"],
+                [
+                    ("c", "0"),
+                    ("d", "0"),
+                    ("a", "c"),
+                    ("a", "d"),
+                    ("b", "c"),
+                    ("b", "d"),
+                    ("e", "c"),
+                    ("f", "d"),
+                    ("1", "a"),
+                    ("1", "b"),
+                    ("1", "e"),
+                    ("1", "f"),
+                ],
+            )
+
     def test_no_bounds(self):
         with pytest.raises(NoBoundedStructure):
             build_lattice(["a", "b", "c"], [("a", "c"), ("b", "c")])
