@@ -218,7 +218,9 @@ def interval_images(
     Enumerates intervals [a, b] in lex (a, b) order, keeps those of the
     requested kind (all / wide / ice), and records the label bitmask
     belowj[b] & kge[a].  belowj and kge are caller-compressed masks over
-    join-irreducible positions, so the per-interval step is one AND.
+    join-irreducible positions, so the per-interval step is one AND, and
+    the keys of the result are compressed masks too: bit p stands for the
+    p-th join-irreducible in id order.
     """
     images: dict[int, tuple[int, int]] = {}
     for a in range(n):

@@ -6,7 +6,10 @@ Arbitrary-width ints keep the kernels free of word-size bookkeeping.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import compress
+
+_SELECTOR = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def mask_of(ids: Iterable[int]) -> int:
@@ -22,6 +25,16 @@ def bits_of(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def pick(table: Sequence, mask: int) -> Iterator:
+    """Yield ``table[i]`` for the set bits i of ``mask``, in ascending order.
+
+    The binary digits of mask, lowest first, become the selector bytes of
+    ``itertools.compress``, so the walk over the bits runs in C.  Bits at
+    or beyond ``len(table)`` are ignored.
+    """
+    return compress(table, bin(mask)[:1:-1].encode("ascii").translate(_SELECTOR))
 
 
 def lowest_bit(mask: int) -> int:

@@ -9,6 +9,7 @@ interval).  Output is deterministic byte-for-byte across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections.abc import Sequence
 from pathlib import Path
@@ -128,9 +129,7 @@ def _cmd_posets(args: argparse.Namespace) -> int:
     if args.format == "dot":
         sys.stdout.write(io.emit_family_dot(lat, fam))
     else:
-        import json
-
-        print(json.dumps(io.family_document(lat, fam), indent=2, ensure_ascii=False))
+        sys.stdout.write(io.emit_family_json(lat, fam))
     return 0
 
 
@@ -151,9 +150,7 @@ def _cmd_orders(args: argparse.Namespace) -> int:
     if args.format == "dot":
         sys.stdout.write(io.emit_relation_dot(lat, rel))
     else:
-        import json
-
-        print(json.dumps(io.relation_document(lat, rel), indent=2, ensure_ascii=False))
+        sys.stdout.write(io.emit_relation_json(lat, rel))
     return 0
 
 
@@ -206,7 +203,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process; parse_args keeps no state."""
     parser = _Parser(prog="kappalat", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -65,5 +65,13 @@ class NotAPartialOrder(LatticeError):
     """A derived relation failed antisymmetry; indicates an internal bug."""
 
 
+class InternalInvariant(LatticeError):
+    """A computed result broke an identity the theory guarantees; indicates a bug.
+
+    Raised explicitly rather than by assert, so the check also runs
+    under python -O.
+    """
+
+
 class ParseError(LatticeError):
     """A lattice document is not well-formed JSON of the expected shape."""

@@ -12,13 +12,30 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 
 from . import _backend
-from ._bits import bits_of, mask_of
+from ._bits import bits_of, mask_of, pick
+from .errors import TooLarge
 from .lattice import Interval, Lattice
 from .labeling import ArrowLabeling
 
 KINDS = ("all", "wide", "ice")
+
+# Desk-scale caps for derived_poset.  The sweep visits every interval, and
+# inclusion is an m x m bit relation over the m distinct label sets.
+# weak_sym(6) (31,711 intervals, 21,932 sets), weak_dihedral(200) (40,599 and
+# 40,198) and boolean(12) (531,441 and 4,096) fit; chain(5000) (12.5 M
+# intervals) and chain(1000) "all" (499,501 sets) do not.
+MAX_INTERVALS = 2_000_000
+MAX_LABEL_SETS = 50_000
+
+# _DIGIT_OF_BIT[r] maps a byte to b"1" if its bit r is set, else b"0"
+_DIGIT_OF_BIT = [
+    bytes.maketrans(bytes(range(256)), (b"0" * (1 << r) + b"1" * (1 << r)) * (128 >> r))
+    for r in range(8)
+]
 
 
 def jlabel(lattice: Lattice, labeling: ArrowLabeling, iv: Interval) -> int:
@@ -77,31 +94,35 @@ def is_ice_interval(lattice: Lattice, iv: Interval) -> bool:
 def supersets(sets: Sequence[int]) -> list[int]:
     """For each set, the bitmask of indices k with sets[k] a superset of it.
 
-    Built from label columns: col[p] marks the sets containing p, and the
-    supersets of a set are the AND of the columns of its elements.
+    sets are int bitmasks over any ground set (derived_poset passes label
+    sets compressed to join-irreducible positions, order_poset element
+    masks).  Built from label columns: col[p] marks the sets containing
+    p, and the supersets of a set are the AND of the columns of its
+    elements.  The columns come from transposing the sets' bytes, eight
+    positions per byte column, so each set's bits are walked only once,
+    by ``pick``.
     """
     full = (1 << len(sets)) - 1
-    col: dict[int, int] = {}
-    for k, s in enumerate(sets):
-        bit = 1 << k
-        for p in bits_of(s):
-            col[p] = col.get(p, 0) | bit
-    up_rel = []
-    for s in sets:
-        acc = full
-        for p in bits_of(s):
-            acc &= col[p]
-        up_rel.append(acc)
-    return up_rel
+    union = reduce(or_, sets, 0)
+    width = (union.bit_length() + 7) // 8
+    rows = b"".join([s.to_bytes(width, "little") for s in sets])
+    col = [0] * union.bit_length()
+    for p in bits_of(union):
+        # byte p // 8 of every set, as "0"/"1" digits with set 0 last
+        digits = rows[p >> 3 :: width].translate(_DIGIT_OF_BIT[p & 7])
+        col[p] = int(digits[::-1], 2)
+    return [reduce(and_, pick(col, s), full) for s in sets]
 
 
 @dataclass(frozen=True)
 class SetFamilyPoset:
     """Distinct label sets of an interval family, ordered by inclusion.
 
-    members are element bitmasks in canonical order (cardinality, then
-    lexicographic over the member ids); hasse holds (upper, lower) index
-    pairs into members and is the transitive reduction of inclusion.
+    members are element bitmasks (over lattice ids, expanded from the
+    compressed label sets derived_poset sorts) in canonical order:
+    cardinality, then lexicographic over the ascending member ids.  hasse
+    holds (upper, lower) index pairs into members and is the transitive
+    reduction of inclusion.
     witnesses[i] is the first interval (in lex enumeration order) whose
     label set is members[i]; later intervals may map to the same set.
     """
@@ -116,9 +137,17 @@ class SetFamilyPoset:
 
 
 def derived_poset(lattice: Lattice, labeling: ArrowLabeling, kind: str) -> SetFamilyPoset:
-    """Sweep the intervals of the requested kind and assemble the label poset."""
+    """Sweep the intervals of the requested kind and assemble the label poset.
+
+    Raises TooLarge, before the sweep, when the lattice has more than
+    MAX_INTERVALS intervals, and, before inclusion is built, when the
+    sweep finds more than MAX_LABEL_SETS distinct label sets.
+    """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    count = lattice.interval_count()
+    if count > MAX_INTERVALS:
+        raise TooLarge(f"{count} intervals to sweep exceeds the cap of {MAX_INTERVALS}")
     n = lattice.n
     jirr_ids = list(bits_of(labeling.jirr))
     pos = {j: p for p, j in enumerate(jirr_ids)}
@@ -136,15 +165,23 @@ def derived_poset(lattice: Lattice, labeling: ArrowLabeling, kind: str) -> SetFa
     images = _backend.interval_images(
         n, lattice.up, lattice.down, belowj, kge, lattice._cover_ups, kind
     )
+    if len(images) > MAX_LABEL_SETS:
+        raise TooLarge(
+            f"{len(images)} distinct {kind} label sets exceeds the cap of {MAX_LABEL_SETS}"
+        )
 
-    expanded: list[tuple[int, Interval]] = []
-    for pmask, witness in images.items():
-        expanded.append((mask_of(jirr_ids[p] for p in bits_of(pmask)), witness))
-    expanded.sort(key=lambda e: (e[0].bit_count(), tuple(bits_of(e[0]))))
-    members = tuple(mask for mask, _ in expanded)
-    witnesses = tuple(w for _, w in expanded)
-
-    # members sorted by cardinality form a linear extension of inclusion
-    up_rel = supersets(members)
-    hasse = _backend.transitive_reduction(len(members), up_rel)
-    return SetFamilyPoset(kind=kind, members=members, hasse=tuple(hasse), witnesses=witnesses)
+    # Canonical order: cardinality, then ascending-bit lex order.  Positions
+    # follow id order, and among sets of one cardinality that lex order is
+    # the string order of the complement written lowest bit first.
+    w = len(jirr_ids)
+    full = (1 << w) - 1
+    order = sorted(images, key=lambda pm: (pm.bit_count(), format(pm ^ full, f"0{w}b")[::-1]))
+    # sets sorted by cardinality form a linear extension of inclusion
+    hasse = _backend.transitive_reduction(len(order), supersets(order))
+    jbits = [1 << j for j in jirr_ids]
+    return SetFamilyPoset(
+        kind=kind,
+        members=tuple(sum(pick(jbits, pm)) for pm in order),
+        hasse=tuple(hasse),
+        witnesses=tuple(images[pm] for pm in order),
+    )

@@ -6,14 +6,23 @@ matching the Hasse-arrow convention that arrows point from the covering
 element down to the covered one.  Canonical output lists elements in
 the internal topological order and covers sorted by (upper id, lower
 id), so emit o parse is byte-stable.
+
+JSON and DOT text is written directly, not through ``json.dumps``: each
+element name is encoded once, with the same ``encode_basestring`` that
+``json.dumps(..., ensure_ascii=False)`` uses, and the layout is
+byte-identical to ``json.dumps(document, indent=2, ensure_ascii=False)``
+of the matching ``*_document`` dict.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
+from itertools import starmap
+from json.encoder import encode_basestring
 from typing import Any
 
-from ._bits import bits_of
+from ._bits import pick
 from .orders import OrderRelation
 from .errors import ParseError
 from .intervals import SetFamilyPoset
@@ -64,8 +73,45 @@ def lattice_document(lattice: Lattice, meta: dict[str, str] | None = None) -> di
     return doc
 
 
+def _array(items: Iterable[str], depth: int, brackets: str = "[]") -> str:
+    """JSON array of rendered items, laid out as json.dumps(indent=2) at depth.
+
+    With brackets "{}" the items are the "key: value" members of an object.
+    """
+    inner = "\n" + "  " * (depth + 1)
+    body = ("," + inner).join(items)
+    return f"{brackets[0]}{inner}{body}\n{'  ' * depth}{brackets[1]}" if body else brackets
+
+
+def _document(fields: dict[str, Any]) -> str:
+    """Top-level object as json.dumps(indent=2) writes it, plus a newline.
+
+    A str value is already rendered; any other is an iterable of rendered
+    array items.
+    """
+    parts = []
+    for key, value in fields.items():
+        parts += (",\n  " if parts else "{\n  ", encode_basestring(key), ": ")
+        parts.append(value if isinstance(value, str) else _array(value, 1))
+    parts.append("\n}\n")
+    return "".join(parts)
+
+
+# a two-item array nested at depth 2, such as one Hasse edge of a document
+_PAIR = "[\n      {},\n      {}\n    ]".format
+
+
 def emit_lattice(lattice: Lattice, meta: dict[str, str] | None = None) -> str:
-    return json.dumps(lattice_document(lattice, meta), indent=2, ensure_ascii=False) + "\n"
+    """The canonical document of lattice_document(lattice, meta) as text."""
+    enc = list(map(encode_basestring, lattice.names))
+    fields: dict[str, Any] = {
+        "elements": enc,
+        "covers": [_PAIR(enc[u], enc[l]) for u, l in lattice.covers],
+    }
+    if meta:
+        items = (f"{encode_basestring(k)}: {encode_basestring(meta[k])}" for k in sorted(meta))
+        fields["meta"] = _array(items, 1, "{}")
+    return _document(fields)
 
 
 def _quote(name: str) -> str:
@@ -86,29 +132,30 @@ def emit_dot(
     if highlight_interval is not None:
         a, b = lattice.check_interval(highlight_interval)
         inside = lattice.up[a] & lattice.down[b]
+    quoted = [_quote(name) for name in lattice.names]
     lines = ["digraph lattice {", "  rankdir=TB;"]
     for x in range(lattice.n):
         attrs = ""
         if (inside >> x) & 1:
             attrs = " [style=filled, fillcolor=lightgrey]"
-        lines.append(f"  {_quote(lattice.names[x])}{attrs};")
+        lines.append(f"  {quoted[x]}{attrs};")
     for u, l in lattice.covers:
         label = ""
         if labeling is not None:
             label = f' [label="{lattice.names[labeling.gamma[(u, l)]]}"]'
-        lines.append(f"  {_quote(lattice.names[u])} -> {_quote(lattice.names[l])}{label};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"  {quoted[u]} -> {quoted[l]}{label};")
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
 def member_name(lattice: Lattice, mask: int) -> str:
-    return "{" + ",".join(lattice.names[j] for j in bits_of(mask)) + "}"
+    return "{" + ",".join(pick(lattice.names, mask)) + "}"
 
 
 def family_document(lattice: Lattice, family: SetFamilyPoset) -> dict[str, Any]:
     return {
         "kind": family.kind,
-        "members": [[lattice.names[j] for j in bits_of(m)] for m in family.members],
+        "members": [list(pick(lattice.names, m)) for m in family.members],
         "witnesses": [
             [lattice.names[a], lattice.names[b]] for a, b in family.witnesses
         ],
@@ -116,17 +163,24 @@ def family_document(lattice: Lattice, family: SetFamilyPoset) -> dict[str, Any]:
     }
 
 
+def emit_family_json(lattice: Lattice, family: SetFamilyPoset) -> str:
+    """family_document(lattice, family) as JSON text."""
+    enc = list(map(encode_basestring, lattice.names))
+    return _document({
+        "kind": encode_basestring(family.kind),
+        "members": [_array(pick(enc, m), 2) for m in family.members],
+        "witnesses": [_PAIR(enc[a], enc[b]) for a, b in family.witnesses],
+        "hasse": starmap(_PAIR, family.hasse),
+    })
+
+
 def emit_family_dot(lattice: Lattice, family: SetFamilyPoset) -> str:
+    nodes = [_quote(member_name(lattice, m)) for m in family.members]
     lines = ["digraph labelsets {", "  rankdir=TB;"]
-    for m in family.members:
-        lines.append(f"  {_quote(member_name(lattice, m))};")
-    for u, l in family.hasse:
-        lines.append(
-            f"  {_quote(member_name(lattice, family.members[u]))}"
-            f" -> {_quote(member_name(lattice, family.members[l]))};"
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.extend(f"  {node};" for node in nodes)
+    lines.extend(f"  {nodes[u]} -> {nodes[l]};" for u, l in family.hasse)
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
 def relation_document(lattice: Lattice, relation: OrderRelation) -> dict[str, Any]:
@@ -137,11 +191,20 @@ def relation_document(lattice: Lattice, relation: OrderRelation) -> dict[str, An
     }
 
 
+def emit_relation_json(lattice: Lattice, relation: OrderRelation) -> str:
+    """relation_document(lattice, relation) as JSON text."""
+    enc = list(map(encode_basestring, lattice.names))
+    return _document({
+        "kind": encode_basestring(relation.kind),
+        "elements": enc,
+        "hasse": [_PAIR(enc[u], enc[l]) for u, l in relation.hasse],
+    })
+
+
 def emit_relation_dot(lattice: Lattice, relation: OrderRelation) -> str:
+    quoted = [_quote(name) for name in lattice.names]
     lines = [f"digraph {relation.kind}_order {{", "  rankdir=TB;"]
-    for x in range(lattice.n):
-        lines.append(f"  {_quote(lattice.names[x])};")
-    for u, l in relation.hasse:
-        lines.append(f"  {_quote(lattice.names[u])} -> {_quote(lattice.names[l])};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.extend(f"  {q};" for q in quoted)
+    lines.extend(f"  {quoted[u]} -> {quoted[l]};" for u, l in relation.hasse)
+    lines.append("}\n")
+    return "\n".join(lines)

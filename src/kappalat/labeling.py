@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from . import _backend
 from ._bits import bits_of
 from .errors import (
+    InternalInvariant,
     NotAnArrow,
     NotJoinIrreducible,
     NotMeetIrreducible,
@@ -89,8 +90,11 @@ def join_label(lattice: Lattice, arrow: tuple[int, int]) -> int:
         raise NotSemidistributive(
             f"{{x | {lattice.names[lower]} v x = {lattice.names[upper]}}} has no minimum"
         )
-    assert lattice._meet2(lower, j) == lattice.star_down(j)
-    assert len(lattice.covers_down(j)) == 1
+    if lattice._meet2(lower, j) != lattice.star_down(j) or len(lattice.covers_down(j)) != 1:
+        raise InternalInvariant(
+            f"join label {lattice.names[j]!r} of {lattice.names[upper]!r} -> "
+            f"{lattice.names[lower]!r} is not a join-irreducible meeting lower in its star"
+        )
     return j
 
 
@@ -103,8 +107,11 @@ def meet_label(lattice: Lattice, arrow: tuple[int, int]) -> int:
         raise NotSemidistributive(
             f"{{x | {lattice.names[upper]} ^ x = {lattice.names[lower]}}} has no maximum"
         )
-    assert lattice._join2(upper, m) == lattice.star_up(m)
-    assert len(lattice.covers_up(m)) == 1
+    if lattice._join2(upper, m) != lattice.star_up(m) or len(lattice.covers_up(m)) != 1:
+        raise InternalInvariant(
+            f"meet label {lattice.names[m]!r} of {lattice.names[upper]!r} -> "
+            f"{lattice.names[lower]!r} is not a meet-irreducible joining upper to its star"
+        )
     return m
 
 
@@ -161,14 +168,24 @@ def full_labeling(lattice: Lattice) -> ArrowLabeling:
     kappa_table = {j: mu[(j, lattice.covers_down(j)[0])] for j in bits_of(jirr)}
     kappa_dual_table = {m: gamma[(lattice.covers_up(m)[0], m)] for m in bits_of(mirr)}
 
-    assert all((mirr >> m) & 1 for m in kappa_table.values())
-    assert all((jirr >> j) & 1 for j in kappa_dual_table.values())
-    assert all(kappa_dual_table[m] == j for j, m in kappa_table.items())
-    assert all(kappa_table[j] == m for m, j in kappa_dual_table.items())
-    assert all(mu[a] == kappa_table[gamma[a]] for a in lattice.covers)
+    if not (
+        all((mirr >> m) & 1 for m in kappa_table.values())
+        and all((jirr >> j) & 1 for j in kappa_dual_table.values())
+        and all(kappa_dual_table[m] == j for j, m in kappa_table.items())
+        and all(kappa_table[j] == m for m, j in kappa_dual_table.items())
+    ):
+        raise InternalInvariant("kappa and kappa_dual are not inverse bijections jirr <-> mirr")
+    if not all(mu[a] == kappa_table.get(gamma[a]) for a in lattice.covers):
+        raise InternalInvariant("mu differs from kappa o gamma on some arrow")
     for j, m in kappa_table.items():
-        assert lattice._join2(j, m) == lattice.star_up(m)
-        assert lattice._meet2(j, m) == lattice.star_down(j)
+        if (
+            lattice._join2(j, m) != lattice.star_up(m)
+            or lattice._meet2(j, m) != lattice.star_down(j)
+        ):
+            raise InternalInvariant(
+                f"j v kappa(j) = star_up(kappa(j)) or j ^ kappa(j) = star_down(j) "
+                f"fails at j={lattice.names[j]!r}"
+            )
 
     return ArrowLabeling(
         gamma=gamma,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import _backend
 from ._bits import bits_of
-from .errors import NotAPartialOrder, TooLarge
+from .errors import InternalInvariant, NotAPartialOrder, TooLarge
 from .intervals import down_jlabel, jlabel, supersets, up_jlabel
 from .lattice import Lattice
 from .labeling import ArrowLabeling
@@ -34,13 +34,21 @@ def cjr(lattice: Lattice, labeling: ArrowLabeling, x: int) -> int:
     """
     rep = down_jlabel(lattice, labeling, x)
     ids = list(bits_of(rep))
-    assert all((labeling.jirr >> j) & 1 for j in ids)
-    assert lattice.join(ids) == x
+    if rep & ~labeling.jirr or lattice.join(ids) != x:
+        raise InternalInvariant(
+            f"canonical joinands of {lattice.names[x]!r} are not join-irreducibles joining to it"
+        )
     for i in ids:
-        assert lattice.up[i] & rep == 1 << i  # antichain
+        if lattice.up[i] & rep != 1 << i:
+            raise InternalInvariant(
+                f"canonical joinands of {lattice.names[x]!r} are not an antichain"
+            )
         for j in ids:
-            if i != j:
-                assert lattice.leq(i, labeling.kappa[j])
+            if i != j and not lattice.leq(i, labeling.kappa[j]):
+                raise InternalInvariant(
+                    f"canonical joinand {lattice.names[i]!r} of {lattice.names[x]!r} is not "
+                    f"below kappa({lattice.names[j]!r})"
+                )
     return rep
 
 
@@ -86,18 +94,22 @@ def extended_kappa(lattice: Lattice, labeling: ArrowLabeling, x: int) -> int:
     """Meet of kappa over the canonical joinands of x.
 
     The result y is the unique element whose up-arrow labels equal the
-    down-arrow labels of x; that uniqueness property is asserted here.
+    down-arrow labels of x; that uniqueness property is checked here.
     """
     rep = cjr(lattice, labeling, x)
     y = lattice.meet(labeling.kappa[j] for j in bits_of(rep))
-    assert up_jlabel(lattice, labeling, y) == rep
+    if up_jlabel(lattice, labeling, y) != rep:
+        raise InternalInvariant(
+            f"up-arrow labels of extended_kappa({lattice.names[x]!r}) differ from its joinands"
+        )
     return y
 
 
 def extended_kappa_table(lattice: Lattice, labeling: ArrowLabeling) -> tuple[int, ...]:
     """Extended kappa image of every element; a permutation of the lattice."""
     table = tuple(extended_kappa(lattice, labeling, x) for x in range(lattice.n))
-    assert sorted(table) == list(range(lattice.n))
+    if sorted(table) != list(range(lattice.n)):
+        raise InternalInvariant("extended kappa is not a permutation of the lattice")
     return table
 
 
@@ -161,7 +173,10 @@ def order_poset(lattice: Lattice, labeling: ArrowLabeling, kind: str) -> OrderRe
         cores = [core_label(lattice, labeling, x) for x in range(n)]
         for x in range(n):
             # posethood rests on x being recoverable as the join of its core labels
-            assert lattice.join(bits_of(cores[x])) == x
+            if lattice.join(bits_of(cores[x])) != x:
+                raise InternalInvariant(
+                    f"{lattice.names[x]!r} is not the join of its core label set"
+                )
         up_rel = supersets(cores)
 
     down_rel = [0] * n

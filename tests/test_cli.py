@@ -4,7 +4,16 @@ import json
 
 import pytest
 
-from kappalat import emit_lattice, gen_a2, gen_ex424, gen_fig1, parse_lattice
+from kappalat import (
+    cli,
+    emit_lattice,
+    gen_a2,
+    gen_chain,
+    gen_ex424,
+    gen_fig1,
+    intervals,
+    parse_lattice,
+)
 from kappalat.cli import cli_main
 
 
@@ -120,6 +129,43 @@ class TestPosets:
         assert '"{}"' in out
 
 
+class TestPosetCaps:
+    @pytest.fixture
+    def chain40_file(self, tmp_path):
+        # 820 intervals, 781 distinct label sets under --kind all
+        path = tmp_path / "chain40.json"
+        path.write_text(emit_lattice(gen_chain(40)), encoding="utf-8")
+        return str(path)
+
+    def test_interval_cap_refuses_before_sweep(self, chain40_file, capsys, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("swept past the interval cap")
+
+        monkeypatch.setattr(intervals._backend, "interval_images", no_sweep)
+        monkeypatch.setattr(intervals, "MAX_INTERVALS", 819)
+        assert cli_main(["posets", chain40_file, "--kind", "wide"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: 820 intervals to sweep exceeds the cap of 819\n"
+
+    def test_label_set_cap_refuses_before_relation(self, chain40_file, capsys, monkeypatch):
+        def no_relation(sets):
+            raise AssertionError("built inclusion past the label set cap")
+
+        monkeypatch.setattr(intervals, "supersets", no_relation)
+        monkeypatch.setattr(intervals, "MAX_LABEL_SETS", 780)
+        assert cli_main(["posets", chain40_file, "--kind", "all"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: 781 distinct all label sets exceeds the cap of 780\n"
+
+    def test_caps_are_inclusive(self, chain40_file, capsys, monkeypatch):
+        monkeypatch.setattr(intervals, "MAX_INTERVALS", 820)
+        monkeypatch.setattr(intervals, "MAX_LABEL_SETS", 781)
+        assert cli_main(["posets", chain40_file, "--kind", "all"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["members"]) == 781
+
+
 class TestCjrCommand:
     def test_single_element(self, fig1_file, capsys):
         assert cli_main(["cjr", fig1_file, "--element", "0*"]) == 0
@@ -205,3 +251,32 @@ class TestDeterminism:
     def test_usage_error_exits_1(self):
         assert cli_main(["posets"]) == 1
         assert cli_main(["nonsense"]) == 1
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self, fig1_file, capsys):
+        cli._build_parser.cache_clear()
+        assert cli_main(["check", fig1_file]) == 0
+        assert cli_main(["cjr", fig1_file]) == 0
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_usage_error_after_success(self, fig1_file, capsys):
+        cli._build_parser.cache_clear()
+        assert cli_main(["posets", fig1_file, "--kind", "bogus"]) == 1
+        fresh = capsys.readouterr()
+        assert fresh.err.startswith("error: ")
+        assert cli_main(["posets", fig1_file, "--kind", "wide"]) == 0
+        capsys.readouterr()
+        assert cli_main(["posets", fig1_file, "--kind", "bogus"]) == 1
+        assert capsys.readouterr() == fresh
+
+    def test_second_subcommand_matches_first_call(self, fig1_file, capsys):
+        argv = ["orders", fig1_file, "--kind", "clo", "--format", "dot"]
+        cli._build_parser.cache_clear()
+        assert cli_main(argv) == 0
+        first = capsys.readouterr()
+        cli._build_parser.cache_clear()
+        assert cli_main(["posets", fig1_file, "--kind", "ice", "--format", "json"]) == 0
+        capsys.readouterr()
+        assert cli_main(argv) == 0
+        assert capsys.readouterr() == first

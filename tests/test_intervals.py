@@ -236,9 +236,22 @@ class TestDerivedPoset:
         # chain(70) has 69 join-irreducibles: label sets span several words
         lat = gen_chain(70)
         lab = full_labeling(lat)
-        assert len(derived_poset(lat, lab, "all").members) == 69 * 70 // 2 + 1
-        for kind in ("wide", "ice"):
-            assert len(derived_poset(lat, lab, kind).members) == 70
+        sizes = {"all": 69 * 70 // 2 + 1, "wide": 70, "ice": 70}
+        for kind, size in sizes.items():
+            members = derived_poset(lat, lab, kind).members
+            assert len(members) == size
+            # canonical order: cardinality, then lex over ascending member ids
+            assert list(members) == sorted(
+                members, key=lambda m: (m.bit_count(), tuple(bits_of(m)))
+            )
+
+    def test_canonical_order_on_corpus(self):
+        for _, lat, lab in labeled_corpus():
+            for kind in ("all", "wide", "ice"):
+                members = derived_poset(lat, lab, kind).members
+                assert list(members) == sorted(
+                    members, key=lambda m: (m.bit_count(), tuple(bits_of(m)))
+                )
 
     def test_weak_sym_6_all(self):
         lat = gen_weak_sym(6)

@@ -1,13 +1,54 @@
 """Lattice document parsing/serialization and DOT export."""
 
+import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import corpus
-from kappalat import emit_dot, emit_lattice, full_labeling, gen_chain, gen_fig1, parse_lattice
+from helpers import corpus, small_labeled_corpus
+from kappalat import (
+    SetFamilyPoset,
+    bits_of,
+    build_lattice,
+    derived_poset,
+    emit_dot,
+    emit_lattice,
+    full_labeling,
+    gen_chain,
+    gen_fig1,
+    order_poset,
+    parse_lattice,
+)
 from kappalat.errors import DuplicateName, ParseError
-from kappalat.io import parse_document
+from kappalat.intervals import KINDS
+from kappalat.io import (
+    emit_family_dot,
+    emit_family_json,
+    emit_relation_dot,
+    emit_relation_json,
+    family_document,
+    lattice_document,
+    parse_document,
+    relation_document,
+)
+from kappalat.orders import ORDER_KINDS
+
+# names with JSON and DOT escapes, control characters and non-ASCII text
+NAMES = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7f/ {},'), st.characters()),
+    max_size=5,
+)
+
+
+def dumps(doc) -> str:
+    """The reference layout the text writers must reproduce byte for byte."""
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def renamed(lattice, names):
+    return build_lattice(names, [(names[u], names[l]) for u, l in lattice.covers])
 
 
 class TestParse:
@@ -103,3 +144,86 @@ class TestDot:
         lat = build_lattice(['a"b', "top"], [("top", 'a"b')])
         dot = emit_dot(lat)
         assert '"a\\"b"' in dot
+
+
+class TestJsonWriters:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_match_json_dumps(self, data):
+        _, base, _ = data.draw(st.sampled_from(small_labeled_corpus(20)))
+        names = data.draw(st.lists(NAMES, min_size=base.n, max_size=base.n, unique=True))
+        lat = renamed(base, names)
+        lab = full_labeling(lat)
+        meta = data.draw(st.dictionaries(NAMES, NAMES, max_size=3))
+        assert emit_lattice(lat, meta) == dumps(lattice_document(lat, meta))
+        for kind in KINDS:
+            fam = derived_poset(lat, lab, kind)
+            assert emit_family_json(lat, fam) == dumps(family_document(lat, fam))
+        for kind in ORDER_KINDS:
+            rel = order_poset(lat, lab, kind)
+            assert emit_relation_json(lat, rel) == dumps(relation_document(lat, rel))
+
+    def test_empty_members_and_hasse(self):
+        lat = gen_fig1()
+        fam = SetFamilyPoset(kind="all", members=(), hasse=(), witnesses=())
+        text = emit_family_json(lat, fam)
+        assert text == dumps(family_document(lat, fam))
+        assert '"members": []' in text and '"hasse": []' in text
+
+    def test_one_element_lattice(self):
+        lat = build_lattice(["only"], [])
+        lab = full_labeling(lat)
+        assert emit_lattice(lat) == dumps(lattice_document(lat))
+        assert emit_lattice(lat, {"k": "v"}) == dumps(lattice_document(lat, {"k": "v"}))
+        for kind in KINDS:
+            fam = derived_poset(lat, lab, kind)
+            assert emit_family_json(lat, fam) == dumps(family_document(lat, fam))
+        for kind in ORDER_KINDS:
+            rel = order_poset(lat, lab, kind)
+            assert emit_relation_json(lat, rel) == dumps(relation_document(lat, rel))
+
+
+def _old_quote(name):
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _old_family_dot(lat, fam):
+    """Reference composition: renders a member's name for every node and edge end."""
+
+    def name(mask):
+        return _old_quote("{" + ",".join(lat.names[j] for j in bits_of(mask)) + "}")
+
+    lines = ["digraph labelsets {", "  rankdir=TB;"]
+    lines += [f"  {name(m)};" for m in fam.members]
+    lines += [f"  {name(fam.members[u])} -> {name(fam.members[l])};" for u, l in fam.hasse]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def _old_relation_dot(lat, rel):
+    lines = [f"digraph {rel.kind}_order {{", "  rankdir=TB;"]
+    lines += [f"  {_old_quote(lat.names[x])};" for x in range(lat.n)]
+    lines += [
+        f"  {_old_quote(lat.names[u])} -> {_old_quote(lat.names[l])};" for u, l in rel.hasse
+    ]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+class TestDotWriters:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_match_per_edge_composition(self, data):
+        _, base, _ = data.draw(st.sampled_from(small_labeled_corpus(20)))
+        names = data.draw(st.lists(NAMES, min_size=base.n, max_size=base.n, unique=True))
+        lat = renamed(base, names)
+        lab = full_labeling(lat)
+        for kind in KINDS:
+            fam = derived_poset(lat, lab, kind)
+            assert emit_family_dot(lat, fam) == _old_family_dot(lat, fam)
+        for kind in ORDER_KINDS:
+            rel = order_poset(lat, lab, kind)
+            assert emit_relation_dot(lat, rel) == _old_relation_dot(lat, rel)
+
+    def test_empty_family(self):
+        lat = gen_fig1()
+        fam = SetFamilyPoset(kind="wide", members=(), hasse=(), witnesses=())
+        assert emit_family_dot(lat, fam) == _old_family_dot(lat, fam)

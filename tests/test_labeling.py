@@ -1,6 +1,14 @@
 """Semidistributivity testing, arrow labels, and the kappa bijection."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
+
+import kappalat
 
 from helpers import brute_semidistributive, labeled_corpus, small_corpus, small_labeled_corpus
 from kappalat import (
@@ -240,3 +248,29 @@ class TestKappa:
                     lhs = lat.leq(x, m)
                     rhs = lat.join([x, j_star]) != lat.join([x, j])
                     assert lhs == rhs
+
+
+def test_invariant_checks_survive_python_O():
+    # a meet label that returns the lower end of every cover breaks the
+    # kappa bijection; python -O drops asserts but not this check
+    script = textwrap.dedent(
+        """
+        import kappalat._backend as backend
+        from kappalat import full_labeling, gen_fig1
+        from kappalat.errors import InternalInvariant
+
+        assert False, "asserts run, so -O is not in effect"
+        backend.cover_meet_label = lambda up, down, upper, lower: lower
+        try:
+            full_labeling(gen_fig1())
+        except InternalInvariant as exc:
+            print("InternalInvariant:", exc)
+        """
+    )
+    src = str(Path(kappalat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("InternalInvariant: kappa and kappa_dual")
