@@ -11,6 +11,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from ._bits import bits_of
+from .errors import InternalInvariant
+
 
 def backend_name() -> str:
     """Name of the kernel implementation (recorded by perfbench/run.py)."""
@@ -18,58 +21,70 @@ def backend_name() -> str:
 
 
 def first_missing_meet(
-    n: int, up: Sequence[int], down: Sequence[int], mirr: int
+    n: int,
+    up: Sequence[int],
+    down: Sequence[int],
+    cover_ups: Sequence[Sequence[int]],
+    cover_downs: Sequence[Sequence[int]],
 ) -> tuple[int, int] | None:
     """First incomparable pair (by lex id order) lacking a greatest lower bound.
 
     Bounded posets are lattices iff all pairwise meets exist, so this is
     the whole lattice test once top and bottom are known to be unique.
-    mirr is the bitmask of elements with exactly one upper cover.
+    cover_ups[x] / cover_downs[x] list the upper / lower covers of x;
+    mirr denotes the elements with exactly one upper cover.
 
-    A bounded poset is a lattice iff (a) every down[x] is the
-    intersection of down[m] over the m in mirr above x, and (b) for every
-    x and every m in mirr, down[x] & down[m] is again a principal down-set.
-    By (a) any down[x] & down[y] is then a chain of such intersections.
-    That certificate costs O(n * |mirr|); the pairwise sweep runs only
-    when it fails, and reports the witness pair.
+    A bounded poset is a lattice iff (a) every down[x] is the intersection
+    of down[m] over the m in mirr above x, and (b) for every x and every m
+    in mirr, down[x] & down[m] is again a principal down-set: by (a) any
+    down[x] & down[y] is then a chain of such intersections.  Both reduce
+    to a check at the elements with two or more lower covers:
+
+    - (b) needs checking only there.  If x has exactly one lower cover c,
+      then down[x] & down[m] = down[c] & down[m] for every m incomparable
+      to x, so x passes when c does (bottom-up induction), and a
+      comparable m passes trivially.
+    - (a) follows from (b).  Take x maximal where (a) fails: x has upper
+      covers u != v and some y <= u, v with y not <= x; (a) holds at v,
+      so some m in mirr above v is not above u, and down[u] & down[m]
+      holds x and y but has no maximum, which would lie between x and
+      its cover u.
+
+    That certificate costs one AND per such x and m in mirr.  Only when
+    it fails does the row test run, to report the witness.  The b in
+    which z <= a is a maximal common lower bound of a and b form
+    up[z] & ~OR(up[u]: u an upper cover of z inside down[a]); counting
+    those masks once/twice over z in down[a] marks every b whose meet
+    with a is missing.  A row with one lower cover c fails only where row
+    c does, and meets are symmetric, so the first failing row with two or
+    more lower covers and the lowest b it marks are the lex-first pair.
     """
-    full = (1 << n) - 1
-    for x in range(n):
-        dx = down[x]
-        common = full
-        m = up[x] & mirr
-        while m:
-            low = m & -m
-            common &= down[low.bit_length() - 1]
-            m ^= low
-        if common != dx:
-            return _first_missing_meet_sweep(n, up, down)
-        m = mirr & ~(up[x] | dx)
-        while m:
-            low = m & -m
-            common = dx & down[low.bit_length() - 1]
-            if common != down[common.bit_length() - 1]:
-                return _first_missing_meet_sweep(n, up, down)
-            m ^= low
+    mirr_downs = [down[m] for m, cu in enumerate(cover_ups) if len(cu) == 1]
+    for x, cd in enumerate(cover_downs):
+        if len(cd) > 1:
+            dx = down[x]
+            for dm in mirr_downs:
+                common = dx & dm
+                if common != down[common.bit_length() - 1]:
+                    return _first_failing_row(n, up, down, cover_ups, cover_downs)
     return None
 
 
-def _first_missing_meet_sweep(
-    n: int, up: Sequence[int], down: Sequence[int]
-) -> tuple[int, int] | None:
-    full = (1 << n) - 1
+def _first_failing_row(n, up, down, cover_ups, cover_downs):
     for a in range(n):
-        incomp = full & ~(up[a] | down[a])
-        incomp >>= a
+        if len(cover_downs[a]) < 2:
+            continue
         da = down[a]
-        while incomp:
-            low = incomp & -incomp
-            b = a + low.bit_length() - 1
-            incomp ^= low
-            common = da & down[b]
-            m = common.bit_length() - 1
-            if common & ~down[m]:
-                return (a, b)
+        once = twice = 0
+        for z in bits_of(da):
+            maximal = up[z]
+            for u in cover_ups[z]:
+                if (da >> u) & 1:
+                    maximal &= ~up[u]
+            twice |= once & maximal
+            once |= maximal
+        if twice:
+            return (a, (twice & -twice).bit_length() - 1)
     return None
 
 
@@ -167,7 +182,7 @@ def _locate_join_pair(up, down, a, v, member_mask):
         for y in xs[i + 1:]:
             if _join(up, a, _meet(down, x, y)) != v:
                 return (a, x, y)
-    raise AssertionError("fiber meet escaped but every pair agrees")
+    raise InternalInvariant("fiber meet escaped but every pair agrees")
 
 
 def _locate_meet_pair(up, down, a, v, member_mask):
@@ -181,7 +196,7 @@ def _locate_meet_pair(up, down, a, v, member_mask):
         for y in xs[i + 1:]:
             if _meet(down, a, _join(up, x, y)) != v:
                 return (a, x, y)
-    raise AssertionError("fiber join escaped but every pair agrees")
+    raise InternalInvariant("fiber join escaped but every pair agrees")
 
 
 def transitive_reduction(n: int, up: Sequence[int]) -> list[tuple[int, int]]:
@@ -212,6 +227,7 @@ def interval_images(
     kge: Sequence[int],
     cover_ups: Sequence[tuple[int, ...]],
     kind: str,
+    cap: int,
 ) -> dict[int, tuple[int, int]]:
     """Map each distinct interval label set to its first witness interval.
 
@@ -220,7 +236,8 @@ def interval_images(
     belowj[b] & kge[a].  belowj and kge are caller-compressed masks over
     join-irreducible positions, so the per-interval step is one AND, and
     the keys of the result are compressed masks too: bit p stands for the
-    p-th join-irreducible in id order.
+    p-th join-irreducible in id order.  The sweep stops at the first set
+    past cap, so a result of more than cap sets holds exactly cap + 1.
     """
     images: dict[int, tuple[int, int]] = {}
     for a in range(n):
@@ -250,4 +267,6 @@ def interval_images(
             jl = belowj[b] & kga
             if jl not in images:
                 images[jl] = (a, b)
+                if len(images) > cap:
+                    return images
     return images

@@ -141,7 +141,8 @@ def derived_poset(lattice: Lattice, labeling: ArrowLabeling, kind: str) -> SetFa
 
     Raises TooLarge, before the sweep, when the lattice has more than
     MAX_INTERVALS intervals, and, before inclusion is built, when the
-    sweep finds more than MAX_LABEL_SETS distinct label sets.
+    sweep finds more than MAX_LABEL_SETS distinct label sets (it stops at
+    the first set past the cap).
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -163,11 +164,11 @@ def derived_poset(lattice: Lattice, labeling: ArrowLabeling, kind: str) -> SetFa
             kge[a] |= bit
 
     images = _backend.interval_images(
-        n, lattice.up, lattice.down, belowj, kge, lattice._cover_ups, kind
+        n, lattice.up, lattice.down, belowj, kge, lattice._cover_ups, kind, MAX_LABEL_SETS
     )
     if len(images) > MAX_LABEL_SETS:
         raise TooLarge(
-            f"{len(images)} distinct {kind} label sets exceeds the cap of {MAX_LABEL_SETS}"
+            f"more than {MAX_LABEL_SETS} distinct {kind} label sets; the cap is {MAX_LABEL_SETS}"
         )
 
     # Canonical order: cardinality, then ascending-bit lex order.  Positions

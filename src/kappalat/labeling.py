@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _backend
-from ._bits import bits_of
+from ._bits import bits_of, mask_of
 from .errors import (
     InternalInvariant,
     NotAnArrow,
@@ -53,19 +53,12 @@ def is_semidistributive(lattice: Lattice) -> bool:
 
 def join_irreducibles(lattice: Lattice) -> int:
     """Bitmask of elements x with star_down(x) != x (exactly one lower cover)."""
-    mask = 0
-    for x in range(lattice.n):
-        if lattice.star_down(x) != x:
-            mask |= 1 << x
-    return mask
+    return mask_of(x for x in range(lattice.n) if len(lattice.covers_down(x)) == 1)
 
 
 def meet_irreducibles(lattice: Lattice) -> int:
-    mask = 0
-    for x in range(lattice.n):
-        if lattice.star_up(x) != x:
-            mask |= 1 << x
-    return mask
+    """Bitmask of elements x with star_up(x) != x (exactly one upper cover)."""
+    return mask_of(x for x in range(lattice.n) if len(lattice.covers_up(x)) == 1)
 
 
 def _require_arrow(lattice: Lattice, arrow: tuple[int, int]) -> None:

@@ -196,11 +196,7 @@ def build_lattice(names: Sequence[str], covers: Iterable[tuple[str, str]]) -> La
         )
     bottom, top = bottoms[0], tops[0]
 
-    mirr = 0
-    for x in range(n):
-        if len(cover_ups[x]) == 1:
-            mirr |= 1 << x
-    missing = _backend.first_missing_meet(n, up, down, mirr)
+    missing = _backend.first_missing_meet(n, up, down, cover_ups, cover_downs)
     if missing is not None:
         a, b = missing
         raise NotALattice(

@@ -185,3 +185,40 @@ def brute_first_missing_meet(n: int, covers) -> tuple[int, int] | None:
             if not any(all(leq[w][z] for w in lowers) for z in lowers):
                 return (a, b)
     return None
+
+
+def order_masks(n: int, covers) -> tuple[list[int], list[int]]:
+    """up and down masks of the order generated by (upper, lower) pairs.
+
+    Elements 0..n-1 must be listed in a linear extension.
+    """
+    up = [1 << x for x in range(n)]
+    down = [1 << x for x in range(n)]
+    for upper, lower in sorted(covers):
+        down[upper] |= down[lower]
+    for upper, lower in sorted(covers, reverse=True):
+        up[lower] |= up[upper]
+    return up, down
+
+
+def sweep_first_missing_meet(n: int, up, down) -> tuple[int, int] | None:
+    """First pair (a, b), a < b, without a greatest lower bound, or None.
+
+    The pair sweep the package used before its cover-local lattice test:
+    for each incomparable pair in lex order, the common lower bounds
+    down[a] & down[b] must lie below their highest id.  Quadratic in n,
+    so it serves as the oracle on inputs too large for
+    brute_first_missing_meet.
+    """
+    full = (1 << n) - 1
+    for a in range(n):
+        da = down[a]
+        incomp = (full & ~(up[a] | da)) >> a
+        while incomp:
+            low = incomp & -incomp
+            b = a + low.bit_length() - 1
+            incomp ^= low
+            common = da & down[b]
+            if common & ~down[common.bit_length() - 1]:
+                return (a, b)
+    return None

@@ -3,7 +3,11 @@
 Run with `pytest -v -s tests/test_acceptance.py` to see the lines.
 """
 
+import json
+import random
 import time
+
+import pytest
 
 from helpers import brute_semidistributive
 from kappalat import (
@@ -40,7 +44,9 @@ from kappalat import (
     verify_cjr_oracle,
     x_down,
 )
+from kappalat.errors import NotALattice
 
+from strategies import random_bounded_poset
 from test_cjr import EX426_ORDER_EDGES, FIG1_ORDER_EDGES
 from test_intervals import (
     A2_FAMILIES,
@@ -226,3 +232,16 @@ def test_criterion_9_round_trip():
         assert again.up == lat.up
         assert emit_lattice(again) == text
     _report(9, "canonical JSON round-trips byte-stably on the corpus", time.perf_counter() - t0, 30.0)
+
+
+def test_criterion_10_large_inputs_parse_fast():
+    # these have few elements with two lower covers, the only ones the
+    # lattice test checks, so a quadratic check would dominate here
+    texts = [emit_lattice(gen_chain(5000)), emit_lattice(gen_weak_dihedral(1000))]
+    covers = [[str(u), str(l)] for u, l in random_bounded_poset(random.Random(0), 2998, 3)]
+    poset = json.dumps({"elements": [str(x) for x in range(3000)], "covers": covers})
+    t0 = time.perf_counter()
+    assert [parse_lattice(text).n for text in texts] == [5000, 2000]
+    with pytest.raises(NotALattice):
+        parse_lattice(poset)
+    _report(10, "chain(5000), weak_dihedral(1000) and a 3000-element poset parse", time.perf_counter() - t0, 3.0)

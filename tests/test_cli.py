@@ -157,7 +157,7 @@ class TestPosetCaps:
         assert cli_main(["posets", chain40_file, "--kind", "all"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: 781 distinct all label sets exceeds the cap of 780\n"
+        assert err == "error: more than 780 distinct all label sets; the cap is 780\n"
 
     def test_caps_are_inclusive(self, chain40_file, capsys, monkeypatch):
         monkeypatch.setattr(intervals, "MAX_INTERVALS", 820)

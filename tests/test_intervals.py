@@ -20,9 +20,9 @@ from kappalat import (
     jlabel_scan,
     mask_of,
 )
-from kappalat._backend import transitive_reduction
+from kappalat._backend import interval_images, transitive_reduction
 from kappalat.errors import InvalidInterval
-from kappalat.intervals import supersets
+from kappalat.intervals import KINDS, supersets
 
 FIG1_FAMILIES = {
     "all": [
@@ -257,6 +257,19 @@ class TestDerivedPoset:
         lat = gen_weak_sym(6)
         lab = full_labeling(lat)
         assert len(derived_poset(lat, lab, "all").members) == 21932
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sweep_stops_past_the_cap(self, kind):
+        lat = gen_weak_sym(4)
+        lab = full_labeling(lat)
+        belowj = [down & lab.jirr for down in lat.down]
+        kge = [mask_of(j for j, m in lab.kappa.items() if lat.leq(a, m)) for a in range(lat.n)]
+        args = (lat.n, lat.up, lat.down, belowj, kge, lat._cover_ups, kind)
+        every = list(interval_images(*args, lat.interval_count()).items())
+        assert len(every) > 10
+        for cap in range(len(every) + 2):
+            # the first cap + 1 sets in sweep order, each with its first witness
+            assert list(interval_images(*args, cap).items()) == every[: cap + 1]
 
     def test_bad_kind(self):
         lat = gen_a2()

@@ -12,6 +12,7 @@ import kappalat
 
 from helpers import brute_semidistributive, labeled_corpus, small_corpus, small_labeled_corpus
 from kappalat import (
+    _backend,
     bits_of,
     build_lattice,
     full_labeling,
@@ -32,6 +33,7 @@ from kappalat import (
     semidistributive_witness,
 )
 from kappalat.errors import (
+    InternalInvariant,
     NotAnArrow,
     NotJoinIrreducible,
     NotMeetIrreducible,
@@ -117,8 +119,25 @@ class TestSemidistributivity:
         with pytest.raises(NotSemidistributive):
             full_labeling(m3())
 
+    def test_witness_pair_search_reports_a_broken_invariant(self):
+        # in a chain every fiber of x -> top v x and of x -> bottom ^ x
+        # satisfies its law, so no pair of the whole chain can be reported
+        lat = gen_chain(4)
+        everything = mask_of(range(lat.n))
+        with pytest.raises(InternalInvariant, match="every pair agrees"):
+            _backend._locate_join_pair(lat.up, lat.down, lat.top, lat.top, everything)
+        with pytest.raises(InternalInvariant, match="every pair agrees"):
+            _backend._locate_meet_pair(lat.up, lat.down, lat.bottom, lat.bottom, everything)
+
 
 class TestIrreducibles:
+    def test_cover_counts_match_star_definition(self):
+        for name, lat, _ in labeled_corpus():
+            stars_down = [x for x in range(lat.n) if lat.star_down(x) != x]
+            stars_up = [x for x in range(lat.n) if lat.star_up(x) != x]
+            assert join_irreducibles(lat) == mask_of(stars_down), name
+            assert meet_irreducibles(lat) == mask_of(stars_up), name
+
     def test_fig1(self):
         lat = gen_fig1()
         assert {lat.names[j] for j in bits_of(join_irreducibles(lat))} == {

@@ -119,6 +119,19 @@ class TestBuild:
                 ],
             )
 
+    def test_not_a_lattice_below_two_reducibles(self):
+        # every element with two or more upper covers is their meet, and the
+        # meet-irreducibles m1..m5 meet pairwise, yet p12 and p13 (both
+        # meet-reducible) have two maximal lower bounds c, d
+        ps = {"p12": ("m1", "m2"), "p13": ("m1", "m3"), "p23": ("m2", "m3")}
+        covers = [("c", "0"), ("d", "0"), ("m4", "c"), ("m5", "d")]
+        covers += [(p, cd) for p in ps for cd in ("c", "d")]
+        covers += [(m, p) for p, ms in ps.items() for m in ms]
+        covers += [("1", f"m{i}") for i in range(1, 6)]
+        names = ["0", "c", "d", *ps, "m1", "m2", "m3", "m4", "m5", "1"]
+        with pytest.raises(NotALattice, match="^elements 'p12' and 'p13' have no"):
+            build_lattice(names, covers)
+
     def test_no_bounds(self):
         with pytest.raises(NoBoundedStructure):
             build_lattice(["a", "b", "c"], [("a", "c"), ("b", "c")])

@@ -16,10 +16,20 @@ from helpers import (
     brute_sd_violations,
     brute_semidistributive,
     order_closure,
+    order_masks,
+    sweep_first_missing_meet,
 )
-from kappalat import _backend, full_labeling, join_label, meet_label, semidistributive_witness
+from kappalat import (
+    _backend,
+    full_labeling,
+    join_irreducibles,
+    join_label,
+    meet_irreducibles,
+    meet_label,
+    semidistributive_witness,
+)
 from kappalat.errors import NotALattice, NotSemidistributive
-from strategies import bounded_posets, build, lattices
+from strategies import bounded_posets, build, large_orders, lattices
 
 
 @settings(max_examples=300, deadline=None)
@@ -27,12 +37,34 @@ from strategies import bounded_posets, build, lattices
 def test_lattice_test_and_witness_pair(order):
     n, covers = order
     missing = brute_first_missing_meet(n, covers)
+    assert sweep_first_missing_meet(n, *order_masks(n, covers)) == missing
     if missing is None:
         assert build(n, covers).names == tuple(str(i) for i in range(n))
     else:
         a, b = missing
         with pytest.raises(NotALattice, match=f"^elements '{a}' and '{b}' have no"):
             build(n, covers)
+
+
+@settings(max_examples=150, deadline=None)
+@given(large_orders())
+def test_lattice_test_on_large_orders_against_pair_sweep(order):
+    n, covers = order
+    missing = sweep_first_missing_meet(n, *order_masks(n, covers))
+    if missing is None:
+        assert build(n, covers).n == n
+    else:
+        a, b = missing
+        with pytest.raises(NotALattice, match=f"^elements '{a}' and '{b}' have no"):
+            build(n, covers)
+
+
+@settings(deadline=None)
+@given(lattices())
+def test_irreducibles_match_star_definition(order):
+    lat = build(*order)
+    assert join_irreducibles(lat) == sum(1 << x for x in range(lat.n) if lat.star_down(x) != x)
+    assert meet_irreducibles(lat) == sum(1 << x for x in range(lat.n) if lat.star_up(x) != x)
 
 
 @settings(deadline=None)
