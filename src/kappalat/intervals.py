@@ -38,6 +38,30 @@ _DIGIT_OF_BIT = [
 ]
 
 
+def label_tables(
+    lattice: Lattice, labeling: ArrowLabeling, jbit: dict[int, int]
+) -> tuple[list[int], list[int]]:
+    """The two halves of every interval label set: jlabel[a, b] = belowj[b] & kge[a].
+
+    belowj[b] marks the join-irreducibles j <= b and kge[a] those with
+    kappa(j) >= a, each j as the mask bit jbit[j] (1 << j for element
+    masks, 1 << position for masks compressed to the join-irreducibles).
+    belowj comes from one bottom-up pass over the lower covers, kge from
+    one top-down pass over the upper covers that adds kappa_dual(a) at
+    each meet-irreducible a, so each costs one OR per cover.
+    """
+    n = lattice.n
+    belowj = [0] * n
+    for b, lowers in enumerate(lattice._cover_downs):
+        belowj[b] = reduce(or_, [belowj[c] for c in lowers], jbit.get(b, 0))
+    kge = [0] * n
+    kappa_dual = labeling.kappa_dual
+    for a in range(n - 1, -1, -1):
+        own = jbit[kappa_dual[a]] if a in kappa_dual else 0
+        kge[a] = reduce(or_, [kge[c] for c in lattice._cover_ups[a]], own)
+    return belowj, kge
+
+
 def jlabel(lattice: Lattice, labeling: ArrowLabeling, iv: Interval) -> int:
     """Label set of [a, b] by the membership rule: j <= b and kappa(j) >= a."""
     a, b = lattice.check_interval(iv)
@@ -151,17 +175,8 @@ def derived_poset(lattice: Lattice, labeling: ArrowLabeling, kind: str) -> SetFa
         raise TooLarge(f"{count} intervals to sweep exceeds the cap of {MAX_INTERVALS}")
     n = lattice.n
     jirr_ids = list(bits_of(labeling.jirr))
-    pos = {j: p for p, j in enumerate(jirr_ids)}
-
     # compressed masks over join-irreducible positions: one AND per interval
-    belowj = [0] * n
-    kge = [0] * n
-    for j in jirr_ids:
-        bit = 1 << pos[j]
-        for b in bits_of(lattice.up[j]):
-            belowj[b] |= bit
-        for a in bits_of(lattice.down[labeling.kappa[j]]):
-            kge[a] |= bit
+    belowj, kge = label_tables(lattice, labeling, {j: 1 << p for p, j in enumerate(jirr_ids)})
 
     images = _backend.interval_images(
         n, lattice.up, lattice.down, belowj, kge, lattice._cover_ups, kind, MAX_LABEL_SETS

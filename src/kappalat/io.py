@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable
-from itertools import starmap
+from itertools import chain, starmap
 from json.encoder import encode_basestring
 from typing import Any
 
@@ -43,11 +43,15 @@ def parse_document(text: str) -> tuple[Lattice, dict[str, str] | None]:
         raise ParseError(f"unknown keys: {', '.join(sorted(unknown))}")
     elements = doc.get("elements")
     covers = doc.get("covers")
-    if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
+    # json.loads yields exact list and str objects, so type() tests decide
+    # like isinstance() and let the scans over the items run in C
+    if type(elements) is not list or not set(map(type, elements)) <= {str}:
         raise ParseError('"elements" must be a list of strings')
-    if not isinstance(covers, list) or not all(
-        isinstance(c, list) and len(c) == 2 and all(isinstance(x, str) for x in c)
-        for c in covers
+    if (
+        type(covers) is not list
+        or not set(map(type, covers)) <= {list}
+        or not set(map(len, covers)) <= {2}
+        or not set(map(type, chain.from_iterable(covers))) <= {str}
     ):
         raise ParseError('"covers" must be a list of [upper, lower] string pairs')
     meta = doc.get("meta")
@@ -56,7 +60,7 @@ def parse_document(text: str) -> tuple[Lattice, dict[str, str] | None]:
         or not all(isinstance(k, str) and isinstance(v, str) for k, v in meta.items())
     ):
         raise ParseError('"meta" must be a string-to-string map')
-    return build_lattice(elements, [(u, l) for u, l in covers]), meta
+    return build_lattice(elements, covers), meta
 
 
 def parse_lattice(text: str) -> Lattice:

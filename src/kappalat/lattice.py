@@ -211,8 +211,9 @@ def build_lattice(names: Sequence[str], covers: Iterable[tuple[str, str]]) -> La
         bottom=bottom,
         top=top,
         _index={name: i for i, name in enumerate(names)},
-        _cover_ups=tuple(tuple(sorted(c)) for c in cover_ups),
-        _cover_downs=tuple(tuple(sorted(c)) for c in cover_downs),
+        # cover_pairs is sorted by (upper, lower), so both lists are ascending
+        _cover_ups=tuple(map(tuple, cover_ups)),
+        _cover_downs=tuple(map(tuple, cover_downs)),
     )
 
 

@@ -9,20 +9,59 @@ images; the core label order compares the label sets jlabel[x_down, x].
 The two orders agree on lattices of torsion classes but not in general,
 and this module also evaluates the sufficient condition separating the
 two situations.
+
+The whole-lattice functions (extended_kappa_table, order_poset,
+sufficiency_failures) read everything off per-lattice tables built by
+passes over the covers: each element's down- and up-arrow label masks
+(one pass over gamma), the interval label halves belowj/kge
+(intervals.label_tables), and the down-set of extended-kappa images.
+Each order quantity then costs a few mask operations per element.  The
+single-element functions (cjr, extended_kappa, core_label, kappa_leq,
+clo_leq) compute from the definitions and serve as their oracle.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 
 from . import _backend
-from ._bits import bits_of
+from ._bits import bits_of, lowest_bit, pick
 from .errors import InternalInvariant, NotAPartialOrder, TooLarge
-from .intervals import down_jlabel, jlabel, supersets, up_jlabel
+from .intervals import down_jlabel, jlabel, label_tables, supersets, up_jlabel
 from .lattice import Lattice
 from .labeling import ArrowLabeling
 
 ORDER_KINDS = ("kappa", "clo")
+
+
+def _check_joinands(lattice: Lattice, labeling: ArrowLabeling, x: int, rep: int) -> list[int]:
+    """The joinands in rep, in id order, once checked to represent x canonically.
+
+    Raises InternalInvariant unless the joinands are join-irreducibles
+    joining to x (the lowest bit of the AND of their up-sets), an
+    antichain (up[i] & rep is i alone), and every other joinand lies
+    below kappa(i).  A few mask tests per joinand.
+    """
+    up, names = lattice.up, lattice.names
+    ids = list(bits_of(rep))
+    joined = reduce(and_, [up[i] for i in ids], up[lattice.bottom])
+    if rep & ~labeling.jirr or lowest_bit(joined) != x:
+        raise InternalInvariant(
+            f"canonical joinands of {names[x]!r} are not join-irreducibles joining to it"
+        )
+    for i in ids:
+        if up[i] & rep != 1 << i:
+            raise InternalInvariant(f"canonical joinands of {names[x]!r} are not an antichain")
+        outside = (rep ^ (1 << i)) & ~lattice.down[labeling.kappa[i]]
+        if outside:
+            raise InternalInvariant(
+                f"canonical joinand {names[lowest_bit(outside)]!r} of {names[x]!r} is not "
+                f"below kappa({names[i]!r})"
+            )
+    return ids
 
 
 def cjr(lattice: Lattice, labeling: ArrowLabeling, x: int) -> int:
@@ -33,22 +72,7 @@ def cjr(lattice: Lattice, labeling: ArrowLabeling, x: int) -> int:
     satisfy i <= kappa(j).
     """
     rep = down_jlabel(lattice, labeling, x)
-    ids = list(bits_of(rep))
-    if rep & ~labeling.jirr or lattice.join(ids) != x:
-        raise InternalInvariant(
-            f"canonical joinands of {lattice.names[x]!r} are not join-irreducibles joining to it"
-        )
-    for i in ids:
-        if lattice.up[i] & rep != 1 << i:
-            raise InternalInvariant(
-                f"canonical joinands of {lattice.names[x]!r} are not an antichain"
-            )
-        for j in ids:
-            if i != j and not lattice.leq(i, labeling.kappa[j]):
-                raise InternalInvariant(
-                    f"canonical joinand {lattice.names[i]!r} of {lattice.names[x]!r} is not "
-                    f"below kappa({lattice.names[j]!r})"
-                )
+    _check_joinands(lattice, labeling, x, rep)
     return rep
 
 
@@ -90,6 +114,13 @@ def gorbunov_check(lattice: Lattice, x: int) -> bool:
     return strict & ~reach == 0
 
 
+def _check_image(lattice: Lattice, x: int, rep: int, up_labels: int) -> None:
+    if up_labels != rep:
+        raise InternalInvariant(
+            f"up-arrow labels of extended_kappa({lattice.names[x]!r}) differ from its joinands"
+        )
+
+
 def extended_kappa(lattice: Lattice, labeling: ArrowLabeling, x: int) -> int:
     """Meet of kappa over the canonical joinands of x.
 
@@ -98,19 +129,37 @@ def extended_kappa(lattice: Lattice, labeling: ArrowLabeling, x: int) -> int:
     """
     rep = cjr(lattice, labeling, x)
     y = lattice.meet(labeling.kappa[j] for j in bits_of(rep))
-    if up_jlabel(lattice, labeling, y) != rep:
-        raise InternalInvariant(
-            f"up-arrow labels of extended_kappa({lattice.names[x]!r}) differ from its joinands"
-        )
+    _check_image(lattice, x, rep, up_jlabel(lattice, labeling, y))
     return y
 
 
 def extended_kappa_table(lattice: Lattice, labeling: ArrowLabeling) -> tuple[int, ...]:
-    """Extended kappa image of every element; a permutation of the lattice."""
-    table = tuple(extended_kappa(lattice, labeling, x) for x in range(lattice.n))
-    if sorted(table) != list(range(lattice.n)):
+    """Extended kappa image of every element; a permutation of the lattice.
+
+    One pass over gamma gives every element's down-label mask D[x] (its
+    canonical joinands, checked as in cjr) and up-label mask U[y].  The
+    image of x is the highest bit of the AND of down[kappa(j)] over j in
+    D[x], the meet of those kappa images, and must satisfy U[y] == D[x].
+    """
+    n = lattice.n
+    down_labels = [0] * n
+    up_labels = [0] * n
+    for (upper, lower), j in labeling.gamma.items():
+        down_labels[upper] |= 1 << j
+        up_labels[lower] |= 1 << j
+    down_kappa = [0] * n
+    for j, m in labeling.kappa.items():
+        down_kappa[j] = lattice.down[m]
+    everything = lattice.down[lattice.top]
+    table = []
+    for x, rep in enumerate(down_labels):
+        ids = _check_joinands(lattice, labeling, x, rep)
+        y = reduce(and_, [down_kappa[j] for j in ids], everything).bit_length() - 1
+        _check_image(lattice, x, rep, up_labels[y])
+        table.append(y)
+    if sorted(table) != list(range(n)):
         raise InternalInvariant("extended kappa is not a permutation of the lattice")
-    return table
+    return tuple(table)
 
 
 def x_down(lattice: Lattice, x: int) -> int:
@@ -154,31 +203,48 @@ class OrderRelation:
         return bool((self.up[x] >> y) & 1)
 
 
-def order_poset(lattice: Lattice, labeling: ArrowLabeling, kind: str) -> OrderRelation:
-    """Relation matrix and Hasse covers of the kappa or core label order."""
-    if kind not in ORDER_KINDS:
-        raise ValueError(f"kind must be one of {ORDER_KINDS}, got {kind!r}")
-    n = lattice.n
-    if kind == "kappa":
-        up_rel = [0] * n
-        exk = extended_kappa_table(lattice, labeling)
-        for x in range(n):
-            dxk = lattice.down[exk[x]]
-            mask = 0
-            for y in bits_of(lattice.up[x]):
-                if (dxk >> exk[y]) & 1:
-                    mask |= 1 << y
-            up_rel[x] = mask
-    else:
-        cores = [core_label(lattice, labeling, x) for x in range(n)]
-        for x in range(n):
-            # posethood rests on x being recoverable as the join of its core labels
-            if lattice.join(bits_of(cores[x])) != x:
-                raise InternalInvariant(
-                    f"{lattice.names[x]!r} is not the join of its core label set"
-                )
-        up_rel = supersets(cores)
+def _core_labels(lattice: Lattice, labeling: ArrowLabeling) -> tuple[list[int], ...]:
+    """cores[x] = jlabel[x_down, x] for every x, with the belowj/kge tables.
 
+    x_down is the highest bit of the AND of down over x and its lower
+    covers, and cores[x] = belowj[x] & kge[x_down]: one AND per element.
+    """
+    belowj, kge = label_tables(lattice, labeling, {j: 1 << j for j in bits_of(labeling.jirr)})
+    down = lattice.down
+    cores = [
+        belowj[x] & kge[reduce(and_, [down[c] for c in lowers], down[x]).bit_length() - 1]
+        for x, lowers in enumerate(lattice._cover_downs)
+    ]
+    return cores, belowj, kge
+
+
+def _kappa_up(lattice: Lattice, exk: Sequence[int]) -> list[int]:
+    """up_rel[x] = {y >= x | exk[y] <= exk[x]}: the kappa order's up-sets.
+
+    below[z] = {y | exk[y] <= z} comes from one bottom-up pass over the
+    lower covers with the inverse permutation; up_rel[x] is then
+    up[x] & below[exk[x]].
+    """
+    inverse = [0] * lattice.n
+    for y, z in enumerate(exk):
+        inverse[z] = y
+    below = [0] * lattice.n
+    for z, lowers in enumerate(lattice._cover_downs):
+        below[z] = reduce(or_, [below[c] for c in lowers], 1 << inverse[z])
+    return [u & below[z] for u, z in zip(lattice.up, exk)]
+
+
+def _check_antisymmetric(lattice: Lattice, kind: str, up_rel: Sequence[int]) -> None:
+    """Raise NotAPartialOrder naming the first pair related both ways.
+
+    Certificate first: a relation whose every up_rel[x] holds x and lies
+    inside lattice.up[x] refines the lattice order, so it is reflexive
+    and antisymmetric.  Only when that fails is the relation transposed
+    to find and name the pair.
+    """
+    if all((r >> x) & 1 and not (r & ~u) for x, (r, u) in enumerate(zip(up_rel, lattice.up))):
+        return
+    n = lattice.n
     down_rel = [0] * n
     for x in range(n):
         for y in bits_of(up_rel[x]):
@@ -190,8 +256,40 @@ def order_poset(lattice: Lattice, labeling: ArrowLabeling, kind: str) -> OrderRe
                 f"{kind} relation not antisymmetric on "
                 f"({lattice.names[x]!r}, {lattice.names[other]!r})"
             )
+
+
+def order_poset(lattice: Lattice, labeling: ArrowLabeling, kind: str) -> OrderRelation:
+    """Relation matrix and Hasse covers of the kappa or core label order.
+
+    kappa: up_rel[x] = up[x] & below[exk[x]], where exk is
+    extended_kappa_table and below[z] = {y | exk[y] <= z}.  clo:
+    up_rel = supersets of the core label sets cores[x] =
+    belowj[x] & kge[x_down] (see intervals.label_tables), after checking
+    that every x is the join of its core labels.
+
+    Both relations refine the lattice order: kappa by construction, clo
+    because cores[x] within cores[y] gives x = join(cores[x]) <= y.  That
+    refinement is the antisymmetry certificate, checked with two mask
+    tests per element; the relation is transposed to name a failing pair
+    only when the certificate fails.
+    """
+    if kind not in ORDER_KINDS:
+        raise ValueError(f"kind must be one of {ORDER_KINDS}, got {kind!r}")
+    if kind == "kappa":
+        up_rel = _kappa_up(lattice, extended_kappa_table(lattice, labeling))
+    else:
+        cores = _core_labels(lattice, labeling)[0]
+        up, everything = lattice.up, lattice.up[lattice.bottom]
+        for x, core in enumerate(cores):
+            # posethood rests on x being recoverable as the join of its core labels
+            if lowest_bit(reduce(and_, pick(up, core), everything)) != x:
+                raise InternalInvariant(
+                    f"{lattice.names[x]!r} is not the join of its core label set"
+                )
+        up_rel = supersets(cores)
+    _check_antisymmetric(lattice, kind, up_rel)
     # both orders refine the lattice order, whose ids form a linear extension
-    hasse = _backend.transitive_reduction(n, up_rel)
+    hasse = _backend.transitive_reduction(lattice.n, up_rel)
     return OrderRelation(kind=kind, up=tuple(up_rel), hasse=tuple(hasse))
 
 
@@ -215,21 +313,14 @@ def sufficiency_failures(lattice: Lattice, labeling: ArrowLabeling) -> tuple[int
 
     The sufficient condition for the two orders to coincide asks, at
     every x, that jlabel[x_down, x] equal
-    {j join-irreducible | j <= x and kappa(j) >= extended_kappa(x)}.
+    {j join-irreducible | j <= x and kappa(j) >= extended_kappa(x)},
+    which is belowj[x] & kge[extended_kappa(x)].
     """
-    failures = []
-    for x in range(lattice.n):
-        lhs = core_label(lattice, labeling, x)
-        exk_x = extended_kappa(lattice, labeling, x)
-        rhs = 0
-        down_x = lattice.down[x]
-        up_exk = lattice.up[exk_x]
-        for j in bits_of(labeling.jirr):
-            if (down_x >> j) & 1 and (up_exk >> labeling.kappa[j]) & 1:
-                rhs |= 1 << j
-        if lhs != rhs:
-            failures.append(x)
-    return tuple(failures)
+    cores, belowj, kge = _core_labels(lattice, labeling)
+    exk = extended_kappa_table(lattice, labeling)
+    return tuple(
+        x for x, (core, bj, z) in enumerate(zip(cores, belowj, exk)) if core != bj & kge[z]
+    )
 
 
 def coincide_sufficient(lattice: Lattice, labeling: ArrowLabeling) -> bool:

@@ -222,3 +222,35 @@ def sweep_first_missing_meet(n: int, up, down) -> tuple[int, int] | None:
             if common & ~down[common.bit_length() - 1]:
                 return (a, b)
     return None
+
+
+def jirr_sufficiency_failures(lattice: Lattice, labeling) -> tuple[int, ...]:
+    """Elements x whose core label set differs from
+    {j join-irreducible | j <= x and kappa(j) >= extended_kappa(x)}.
+
+    The per-element, per-join-irreducible rule the package used before
+    its table-based sufficiency_failures; built on the single-element
+    core_label and extended_kappa.
+    """
+    from kappalat import core_label, extended_kappa
+
+    failures = []
+    for x in range(lattice.n):
+        exk_x = extended_kappa(lattice, labeling, x)
+        rhs = 0
+        for j in bits_of(labeling.jirr):
+            if lattice.leq(j, x) and lattice.leq(exk_x, labeling.kappa[j]):
+                rhs |= 1 << j
+        if core_label(lattice, labeling, x) != rhs:
+            failures.append(x)
+    return tuple(failures)
+
+
+def first_two_way_pair(up_rel) -> tuple[int, int] | None:
+    """First x in id order related both ways to some y != x, with the least such y."""
+    n = len(up_rel)
+    for x in range(n):
+        for y in range(n):
+            if y != x and (up_rel[x] >> y) & 1 and (up_rel[y] >> x) & 1:
+                return (x, y)
+    return None

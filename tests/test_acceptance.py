@@ -72,8 +72,8 @@ def _fresh_corpus():
 
 
 def _report(num: int, what: str, elapsed: float, budget: float) -> None:
+    assert elapsed < budget, f"criterion {num}: {what} took {elapsed:.3f}s, budget {budget:g}s"
     print(f"PASS criterion {num}: {what} ({elapsed:.3f}s, budget {budget:g}s)")
-    assert elapsed < budget
 
 
 def _family_strings(lat, fam):

@@ -85,6 +85,33 @@ class TestParse:
             with pytest.raises(ParseError):
                 parse_lattice(text)
 
+    def test_wrong_shape_messages(self):
+        elements = '"elements" must be a list of strings'
+        covers = '"covers" must be a list of [upper, lower] string pairs'
+        meta = '"meta" must be a string-to-string map'
+        for doc, message in (
+            ('{"covers": []}', elements),
+            ('{"elements": null, "covers": []}', elements),
+            ('{"elements": {"a": "b"}, "covers": []}', elements),
+            ('{"elements": ["a", true], "covers": []}', elements),
+            ('{"elements": ["a", ["b"]], "covers": []}', elements),
+            ('{"elements": ["a"]}', covers),
+            ('{"elements": ["a", "b"], "covers": {"a": "b"}}', covers),
+            ('{"elements": ["a", "b"], "covers": ["ab"]}', covers),
+            ('{"elements": ["a", "b"], "covers": [{"a": "b", "c": "d"}]}', covers),
+            ('{"elements": ["a", "b"], "covers": [null]}', covers),
+            ('{"elements": ["a", "b"], "covers": [["a", "b", "a"]]}', covers),
+            ('{"elements": ["a", "b"], "covers": [["a", "b"], []]}', covers),
+            ('{"elements": ["a", "b"], "covers": [["a", ["b"]]]}', covers),
+            ('{"elements": ["a", "b"], "covers": [["a", null]]}', covers),
+            ('{"elements": ["a"], "covers": [], "meta": {"k": 1}}', meta),
+            ('{"elements": ["a"], "covers": [], "other": 1}', "unknown keys: other"),
+            ("[]", "top-level value must be an object"),
+        ):
+            with pytest.raises(ParseError) as info:
+                parse_document(doc)
+            assert str(info.value) == message, doc
+
     def test_meta_round_trip(self):
         lat = gen_chain(3)
         text = emit_lattice(lat, meta={"family": "chain", "n": "3"})

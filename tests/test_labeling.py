@@ -119,6 +119,19 @@ class TestSemidistributivity:
         with pytest.raises(NotSemidistributive):
             full_labeling(m3())
 
+    def test_full_labeling_reports_a_missing_witness(self, monkeypatch):
+        # m3 lacks labels, so a witness search that finds nothing is a bug
+        monkeypatch.setattr(kappalat.labeling, "semidistributive_witness", lambda lat: None)
+        with pytest.raises(InternalInvariant, match="lacks a label"):
+            full_labeling(m3())
+
+    def test_full_labeling_skips_the_witness_search_when_labels_exist(self, monkeypatch):
+        def fail(lat):
+            raise AssertionError("witness search on a semidistributive lattice")
+
+        monkeypatch.setattr(kappalat.labeling, "semidistributive_witness", fail)
+        full_labeling(gen_fig1())
+
     def test_witness_pair_search_reports_a_broken_invariant(self):
         # in a chain every fiber of x -> top v x and of x -> bottom ^ x
         # satisfies its law, so no pair of the whole chain can be reported

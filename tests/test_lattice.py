@@ -19,6 +19,7 @@ from kappalat.errors import (
     UnknownElement,
     UnknownName,
 )
+from strategies import build, large_orders, lattices
 
 
 def chain3() -> Lattice:
@@ -229,12 +230,38 @@ class TestQueries:
             gen_a2().id_of("nope")
 
 
+def _assert_cover_lists(lat):
+    """covers_up / covers_down are the cover pairs' ends, in ascending id order."""
+    ups = [[] for _ in range(lat.n)]
+    downs = [[] for _ in range(lat.n)]
+    for u, l in sorted(lat.covers, key=lambda pair: pair[::-1]):
+        ups[l].append(u)
+    for u, l in lat.covers:
+        downs[u].append(l)
+    for x in range(lat.n):
+        assert list(lat.covers_up(x)) == sorted(ups[x])
+        assert list(lat.covers_down(x)) == sorted(downs[x])
+
+
 class TestInvariants:
     def test_cover_round_trip(self):
         for _, lat in corpus():
             named = {(lat.names[u], lat.names[l]) for u, l in lat.covers}
             rebuilt = build_lattice(list(lat.names), sorted(named))
             assert {(rebuilt.names[u], rebuilt.names[l]) for u, l in rebuilt.covers} == named
+
+    def test_cover_lists_ascending(self):
+        for name, lat in corpus():
+            _assert_cover_lists(lat)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(lattices(), large_orders()))
+    def test_cover_lists_ascending_on_random_lattices(self, order):
+        try:
+            lat = build(*order)
+        except NotALattice:
+            return
+        _assert_cover_lists(lat)
 
     def test_covers_match_brute_force(self):
         for _, lat, _ in small_labeled_corpus(40):

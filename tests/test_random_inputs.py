@@ -102,8 +102,9 @@ def test_arrow_labels(order):
         assert lab.gamma == {arrow: j for arrow, (j, _) in expected.items()}
         assert lab.mu == {arrow: m for arrow, (_, m) in expected.items()}
     else:
-        with pytest.raises(NotSemidistributive):
+        with pytest.raises(NotSemidistributive) as info:
             full_labeling(lat)
+        assert str(info.value) == semidistributive_witness(lat).describe(lat)
 
 
 @settings(deadline=None)
