@@ -4,14 +4,17 @@ All kernels operate on order data given as sequences of int bitmasks:
 up[x] is the set {y | x <= y} and down[x] the set {x' | x' <= x}, each
 including x.  Ids form a linear extension (x < y in the order implies
 id(x) < id(y)), so the only possible minimum of a set is its lowest bit
-and the only possible maximum its highest bit.
+and the only possible maximum its highest bit.  Each kernel is written
+once: the meet-law sweep is the join-law sweep on the dual order (up
+and down swapped, lowest and highest bit swapped), and the interval
+sweep takes per-element top masks, so it knows nothing of the kinds.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from ._bits import bits_of
+from ._bits import bits_of, highest_bit, lowest_bit
 from .errors import InternalInvariant
 
 
@@ -106,15 +109,6 @@ def cover_meet_label(up: Sequence[int], down: Sequence[int], upper: int, lower: 
     return m if cand & ~down[m] == 0 else -1
 
 
-def _join(up: Sequence[int], x: int, y: int) -> int:
-    u = up[x] & up[y]
-    return (u & -u).bit_length() - 1
-
-
-def _meet(down: Sequence[int], x: int, y: int) -> int:
-    return (down[x] & down[y]).bit_length() - 1
-
-
 def sd_witness(
     n: int, up: Sequence[int], down: Sequence[int], covers: Sequence[tuple[int, int]]
 ) -> tuple[str, int, int, int] | None:
@@ -122,81 +116,57 @@ def sd_witness(
 
     A finite lattice is semidistributive iff every cover carries both a
     join label and a meet label, so that O(|covers|) test decides.  Only
-    when a label is missing does the fiber sweep below run, to report
-    the first violating triple.
-
-    For fixed a the law SDv (a|x = a|y implies a|(x&y) = a|x) holds for
-    all pairs iff, for every fiber C of x -> a|x, joining a with the
-    meet of all of C lands back on the fiber value.  Checking one meet
-    per fiber replaces the cubic triple scan; a failing fiber is then
-    rescanned pairwise to report a concrete triple.  The meet law is
-    handled dually.  Scan order (join law first, then meet law, elements
-    in id order) makes the witness deterministic.
+    when a label is missing does the fiber sweep run, to report the first
+    violating triple: the join law first, then the meet law, which is the
+    same sweep on the dual order.
     """
     if all(
         cover_join_label(up, down, u, l) >= 0 and cover_meet_label(up, down, u, l) >= 0
         for u, l in covers
     ):
         return None
+    return (
+        _law_witness("join", n, up, down, lowest_bit, highest_bit)
+        or _law_witness("meet", n, down, up, highest_bit, lowest_bit)
+    )
+
+
+def _law_witness(law, n, ups, downs, least, greatest):
+    """First (law, a, x, y) with a|x = a|y but a|(x&y) != a|x, or None.
+
+    Written for the join law: | is the join, least(ups[x] & ups[y]), and
+    & the meet, greatest(downs[x] & downs[y]); the dual order (ups and
+    downs swapped, least and greatest swapped) gives the meet law.
+
+    For fixed a the law holds for all pairs iff, for every fiber C of
+    x -> a|x, joining a with the meet of all of C lands back on the fiber
+    value: a failing pair x, y puts a|(x&y), hence a|meet(C), strictly
+    below it, and if every pair passes then x&y is again in C, so C is
+    closed under meets.  One AND per element replaces the cubic triple
+    scan.  Only a failing fiber is rescanned, in id order, for its first
+    failing pair; a in id order and the fibers in order of their first x
+    make the triple deterministic.
+    """
     for a in range(n):
-        fiber_meet: dict[int, int] = {}
-        members: dict[int, int] = {}
+        ua = ups[a]
+        fiber: dict[int, int] = {}
         for x in range(n):
-            v = _join(up, a, x)
-            if v in fiber_meet:
-                fiber_meet[v] &= down[x]
-                members[v] |= 1 << x
-            else:
-                fiber_meet[v] = down[x]
-                members[v] = 1 << x
-        for v, dm in fiber_meet.items():
-            m = dm.bit_length() - 1
-            if _join(up, a, m) != v:
-                return ("join",) + _locate_join_pair(up, down, a, v, members[v])
-    for a in range(n):
-        fiber_join: dict[int, int] = {}
-        members = {}
-        for x in range(n):
-            v = _meet(down, a, x)
-            if v in fiber_join:
-                fiber_join[v] &= up[x]
-                members[v] |= 1 << x
-            else:
-                fiber_join[v] = up[x]
-                members[v] = 1 << x
-        for v, um in fiber_join.items():
-            j = (um & -um).bit_length() - 1
-            if _meet(down, a, j) != v:
-                return ("meet",) + _locate_meet_pair(up, down, a, v, members[v])
+            v = least(ua & ups[x])
+            fiber[v] = fiber.get(v, -1) & downs[x]
+        for v, bound in fiber.items():
+            if least(ua & ups[greatest(bound)]) != v:
+                xs = [x for x in range(n) if least(ua & ups[x]) == v]
+                return (law,) + _locate_pair(ups, downs, least, greatest, a, v, xs)
     return None
 
 
-def _locate_join_pair(up, down, a, v, member_mask):
-    xs = []
-    m = member_mask
-    while m:
-        low = m & -m
-        xs.append(low.bit_length() - 1)
-        m ^= low
+def _locate_pair(ups, downs, least, greatest, a, v, xs):
+    ua = ups[a]
     for i, x in enumerate(xs):
         for y in xs[i + 1:]:
-            if _join(up, a, _meet(down, x, y)) != v:
+            if least(ua & ups[greatest(downs[x] & downs[y])]) != v:
                 return (a, x, y)
-    raise InternalInvariant("fiber meet escaped but every pair agrees")
-
-
-def _locate_meet_pair(up, down, a, v, member_mask):
-    xs = []
-    m = member_mask
-    while m:
-        low = m & -m
-        xs.append(low.bit_length() - 1)
-        m ^= low
-    for i, x in enumerate(xs):
-        for y in xs[i + 1:]:
-            if _meet(down, a, _join(up, x, y)) != v:
-                return (a, x, y)
-    raise InternalInvariant("fiber join escaped but every pair agrees")
+    raise InternalInvariant("fiber bound escaped but every pair agrees")
 
 
 def transitive_reduction(n: int, up: Sequence[int]) -> list[tuple[int, int]]:
@@ -220,50 +190,26 @@ def transitive_reduction(n: int, up: Sequence[int]) -> list[tuple[int, int]]:
 
 
 def interval_images(
-    n: int,
-    up: Sequence[int],
-    down: Sequence[int],
-    belowj: Sequence[int],
-    kge: Sequence[int],
-    cover_ups: Sequence[tuple[int, ...]],
-    kind: str,
-    cap: int,
+    belowj: Sequence[int], kge: Sequence[int], tops: Sequence[int], cap: int
 ) -> dict[int, tuple[int, int]]:
     """Map each distinct interval label set to its first witness interval.
 
-    Enumerates intervals [a, b] in lex (a, b) order, keeps those of the
-    requested kind (all / wide / ice), and records the label bitmask
-    belowj[b] & kge[a].  belowj and kge are caller-compressed masks over
-    join-irreducible positions, so the per-interval step is one AND, and
-    the keys of the result are compressed masks too: bit p stands for the
-    p-th join-irreducible in id order.  The sweep stops at the first set
-    past cap, so a result of more than cap sets holds exactly cap + 1.
+    Sweeps the intervals [a, b] with b in tops[a], in lex (a, b) order,
+    and records the label bitmask belowj[b] & kge[a]: one AND per
+    interval.  The caller picks the intervals through tops (up[a] for
+    all of them, or the tops of the wide or ICE intervals at a).  belowj
+    and kge are caller-compressed masks over join-irreducible positions,
+    so the keys of the result are compressed masks too: bit p stands for
+    the p-th join-irreducible in id order.  The sweep stops at the first
+    set past cap, so a result of more than cap sets holds exactly cap + 1.
     """
     images: dict[int, tuple[int, int]] = {}
-    for a in range(n):
+    for a, m in enumerate(tops):
         kga = kge[a]
-        cu = cover_ups[a]
-        if kind == "ice":
-            bound = a
-            for c in cu:
-                bound = _join(up, bound, c)
-            reach = down[bound]
-        m = up[a]
         while m:
             low = m & -m
             b = low.bit_length() - 1
             m ^= low
-            if kind == "wide":
-                w = a
-                db = down[b]
-                for c in cu:
-                    if (db >> c) & 1:
-                        w = _join(up, w, c)
-                if w != b:
-                    continue
-            elif kind == "ice":
-                if not (reach >> b) & 1:
-                    continue
             jl = belowj[b] & kga
             if jl not in images:
                 images[jl] = (a, b)

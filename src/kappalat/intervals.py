@@ -16,7 +16,7 @@ from functools import reduce
 from operator import and_, or_
 
 from . import _backend
-from ._bits import bits_of, mask_of, pick
+from ._bits import bits_of, lowest_bit, mask_of, pick
 from .errors import TooLarge
 from .lattice import Interval, Lattice
 from .labeling import ArrowLabeling
@@ -115,6 +115,39 @@ def is_ice_interval(lattice: Lattice, iv: Interval) -> bool:
     return lattice.leq(b, bound)
 
 
+def interval_tops(lattice: Lattice, kind: str) -> Sequence[int]:
+    """tops[a] = the mask of the b for which [a, b] is an interval of kind.
+
+    all: up[a] itself, no copy.  ICE: the b in up[a] below the bound
+    a v (all upper covers of a), the lowest bit of the AND of their
+    up-sets.  Wide: the joins a v VS over the sets S of upper covers of
+    a.  If b = a v VS, the covers of a below b include S, and with a they
+    join to at most b, hence to exactly b: [a, b] passes is_wide_interval.
+    Conversely a wide b is a v VS for S the covers of a below b.  Those
+    joins are the closure of {a} under joining with each cover in turn:
+    one join per reached element per cover.
+    """
+    up = lattice.up
+    if kind == "all":
+        return up
+    if kind == "ice":
+        down = lattice.down
+        return [
+            up[a] & down[lowest_bit(reduce(and_, [up[c] for c in uppers], up[a]))]
+            for a, uppers in enumerate(lattice._cover_ups)
+        ]
+    tops = []
+    for a, uppers in enumerate(lattice._cover_ups):
+        reached = 1 << a
+        for c in uppers:
+            uc = up[c]
+            for w in bits_of(reached):
+                common = up[w] & uc  # its lowest bit is w v c
+                reached |= common & -common
+        tops.append(reached)
+    return tops
+
+
 def supersets(sets: Sequence[int]) -> list[int]:
     """For each set, the bitmask of indices k with sets[k] a superset of it.
 
@@ -156,9 +189,6 @@ class SetFamilyPoset:
     hasse: tuple[tuple[int, int], ...]
     witnesses: tuple[Interval, ...]
 
-    def index_of(self, mask: int) -> int:
-        return self.members.index(mask)
-
 
 def derived_poset(lattice: Lattice, labeling: ArrowLabeling, kind: str) -> SetFamilyPoset:
     """Sweep the intervals of the requested kind and assemble the label poset.
@@ -173,14 +203,11 @@ def derived_poset(lattice: Lattice, labeling: ArrowLabeling, kind: str) -> SetFa
     count = lattice.interval_count()
     if count > MAX_INTERVALS:
         raise TooLarge(f"{count} intervals to sweep exceeds the cap of {MAX_INTERVALS}")
-    n = lattice.n
     jirr_ids = list(bits_of(labeling.jirr))
     # compressed masks over join-irreducible positions: one AND per interval
     belowj, kge = label_tables(lattice, labeling, {j: 1 << p for p, j in enumerate(jirr_ids)})
 
-    images = _backend.interval_images(
-        n, lattice.up, lattice.down, belowj, kge, lattice._cover_ups, kind, MAX_LABEL_SETS
-    )
+    images = _backend.interval_images(belowj, kge, interval_tops(lattice, kind), MAX_LABEL_SETS)
     if len(images) > MAX_LABEL_SETS:
         raise TooLarge(
             f"more than {MAX_LABEL_SETS} distinct {kind} label sets; the cap is {MAX_LABEL_SETS}"

@@ -141,6 +141,29 @@ def brute_sd_violations(lattice: Lattice) -> set[tuple[str, int, int, int]]:
     return found
 
 
+def first_sd_witness(lattice: Lattice) -> tuple[str, int, int, int] | None:
+    """The triple semidistributive_witness reports, found from leq alone.
+
+    The join law first, then the meet law.  For each a in id order the
+    fibers of x -> a v x (dually a ^ x) are walked in order of their
+    first x, and the first pair x < y of a fiber (in lex order) with
+    a v (x ^ y) off the fiber value (dually a ^ (x v y)) is returned.
+    """
+    join, meet = brute_tables(lattice)
+    n = lattice.n
+    for law, op, dual in (("join", join, meet), ("meet", meet, join)):
+        for a in range(n):
+            fibers: dict[int, list[int]] = {}
+            for x in range(n):
+                fibers.setdefault(op[a][x], []).append(x)
+            for v, xs in fibers.items():
+                for i, x in enumerate(xs):
+                    for y in xs[i + 1:]:
+                        if op[a][dual[x][y]] != v:
+                            return (law, a, x, y)
+    return None
+
+
 def brute_arrow_labels(lattice: Lattice) -> dict[tuple[int, int], tuple[int | None, int | None]]:
     """Per cover (upper, lower): the least x with lower v x = upper and the
     greatest x with upper ^ x = lower, each None when no such extreme exists."""

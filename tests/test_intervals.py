@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 from helpers import labeled_corpus, small_labeled_corpus
 from kappalat import (
     bits_of,
+    core_label,
     derived_poset,
     down_jlabel,
     full_labeling,
     gen_a2,
     gen_chain,
+    gen_ex424,
     gen_fig1,
     gen_weak_sym,
     is_ice_interval,
@@ -19,10 +21,11 @@ from kappalat import (
     jlabel,
     jlabel_scan,
     mask_of,
+    x_down,
 )
 from kappalat._backend import interval_images, transitive_reduction
 from kappalat.errors import InvalidInterval
-from kappalat.intervals import KINDS, supersets
+from kappalat.intervals import KINDS, interval_tops, supersets
 
 FIG1_FAMILIES = {
     "all": [
@@ -137,6 +140,14 @@ class TestWideIce:
                 if is_wide_interval(lat, iv):
                     assert is_ice_interval(lat, iv)
 
+    def test_interval_tops_match_the_oracles_on_corpus(self):
+        for name, lat, _ in labeled_corpus():
+            for kind, oracle in (("wide", is_wide_interval), ("ice", is_ice_interval)):
+                tops = interval_tops(lat, kind)
+                for a in range(lat.n):
+                    expected = mask_of(b for b in bits_of(lat.up[a]) if oracle(lat, (a, b)))
+                    assert tops[a] == expected, (name, kind, a)
+
     def test_table2_interval_lists(self):
         lat = gen_a2()
         itv = [(lat.names[a], lat.names[b]) for a, b in lat.intervals()]
@@ -174,6 +185,21 @@ class TestDerivedPoset:
         for _, lat, lab in labeled_corpus():
             fams = {k: set(derived_poset(lat, lab, k).members) for k in ("all", "wide", "ice")}
             assert fams["wide"] <= fams["ice"] <= fams["all"]
+
+    def test_core_label_sets_are_wide_with_the_core_interval_as_witness(self):
+        # the paper pairs x with the wide interval [x_down, x]
+        for name, lat, lab in labeled_corpus():
+            wide = derived_poset(lat, lab, "wide")
+            witness = dict(zip(wide.members, wide.witnesses))
+            for x in range(lat.n):
+                assert witness[core_label(lat, lab, x)] == (x_down(lat, x), x), (name, x)
+
+    def test_wide_family_exceeds_the_core_label_sets_on_ex424(self):
+        # so the core label sets cannot stand in for the wide sweep
+        lat = gen_ex424()
+        lab = full_labeling(lat)
+        cores = {core_label(lat, lab, x) for x in range(lat.n)}
+        assert cores < set(derived_poset(lat, lab, "wide").members)
 
     def test_members_canonically_ordered(self):
         lat = gen_fig1()
@@ -264,7 +290,7 @@ class TestDerivedPoset:
         lab = full_labeling(lat)
         belowj = [down & lab.jirr for down in lat.down]
         kge = [mask_of(j for j, m in lab.kappa.items() if lat.leq(a, m)) for a in range(lat.n)]
-        args = (lat.n, lat.up, lat.down, belowj, kge, lat._cover_ups, kind)
+        args = (belowj, kge, interval_tops(lat, kind))
         every = list(interval_images(*args, lat.interval_count()).items())
         assert len(every) > 10
         for cap in range(len(every) + 2):

@@ -32,6 +32,7 @@ from kappalat import (
     meet_label,
     semidistributive_witness,
 )
+from kappalat._bits import highest_bit, lowest_bit
 from kappalat.errors import (
     InternalInvariant,
     NotAnArrow,
@@ -136,11 +137,15 @@ class TestSemidistributivity:
         # in a chain every fiber of x -> top v x and of x -> bottom ^ x
         # satisfies its law, so no pair of the whole chain can be reported
         lat = gen_chain(4)
-        everything = mask_of(range(lat.n))
+        everything = list(range(lat.n))
         with pytest.raises(InternalInvariant, match="every pair agrees"):
-            _backend._locate_join_pair(lat.up, lat.down, lat.top, lat.top, everything)
+            _backend._locate_pair(
+                lat.up, lat.down, lowest_bit, highest_bit, lat.top, lat.top, everything
+            )
         with pytest.raises(InternalInvariant, match="every pair agrees"):
-            _backend._locate_meet_pair(lat.up, lat.down, lat.bottom, lat.bottom, everything)
+            _backend._locate_pair(
+                lat.down, lat.up, highest_bit, lowest_bit, lat.bottom, lat.bottom, everything
+            )
 
 
 class TestIrreducibles:

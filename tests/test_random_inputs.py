@@ -6,7 +6,7 @@ lattice test, the semidistributivity test and the arrow labels.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -15,20 +15,28 @@ from helpers import (
     brute_first_missing_meet,
     brute_sd_violations,
     brute_semidistributive,
+    first_sd_witness,
     order_closure,
     order_masks,
     sweep_first_missing_meet,
 )
 from kappalat import (
     _backend,
+    core_label,
+    derived_poset,
     full_labeling,
+    is_ice_interval,
+    is_semidistributive,
+    is_wide_interval,
     join_irreducibles,
     join_label,
     meet_irreducibles,
     meet_label,
     semidistributive_witness,
+    x_down,
 )
 from kappalat.errors import NotALattice, NotSemidistributive
+from kappalat.intervals import interval_tops
 from strategies import bounded_posets, build, large_orders, lattices
 
 
@@ -79,6 +87,56 @@ def test_sd_verdict_and_witness_triple(order):
         assert (witness.law, witness.a, witness.x, witness.y) in violations
     if lat.n <= 8:
         assert brute_semidistributive(lat) == (not violations)
+
+
+def dual(n: int, covers: list[tuple[int, int]]) -> tuple[int, list[tuple[int, int]]]:
+    """The opposite order, with ids reversed so they stay a linear extension."""
+    return n, [(n - 1 - lower, n - 1 - upper) for upper, lower in covers]
+
+
+# walking the fibers of a = 2 by value instead of by first member reports
+# another triple here than the first one, ("join", 2, 1, 8)
+FIBER_ORDER_CASE = (
+    12,
+    [(1, 0), (2, 0), (3, 0), (4, 0), (5, 1), (5, 3), (6, 1), (6, 4), (7, 3),
+     (7, 4), (8, 7), (9, 2), (9, 7), (10, 5), (10, 6), (10, 8), (11, 9), (11, 10)],
+)
+
+
+@settings(deadline=None)
+@given(lattices())
+@example(FIBER_ORDER_CASE)
+def test_sd_witness_is_the_first_triple(order):
+    # the dual swaps the laws, so both halves of the sweep get non-SD draws
+    for lat in (build(*order), build(*dual(*order))):
+        witness = semidistributive_witness(lat)
+        found = None if witness is None else (witness.law, witness.a, witness.x, witness.y)
+        assert found == first_sd_witness(lat)
+
+
+@settings(deadline=None)
+@given(lattices())
+def test_interval_tops_match_the_oracles(order):
+    lat = build(*order)
+    for kind, oracle in (("wide", is_wide_interval), ("ice", is_ice_interval)):
+        tops = interval_tops(lat, kind)
+        for a, b in lat.intervals():
+            assert (tops[a] >> b) & 1 == oracle(lat, (a, b))
+        assert all(top & ~up == 0 for top, up in zip(tops, lat.up))
+    assert interval_tops(lat, "all") is lat.up
+
+
+@settings(deadline=None)
+@given(lattices())
+def test_core_label_sets_are_wide_with_the_core_interval_as_witness(order):
+    lat = build(*order)
+    if not is_semidistributive(lat):
+        return
+    lab = full_labeling(lat)
+    wide = derived_poset(lat, lab, "wide")
+    witness = dict(zip(wide.members, wide.witnesses))
+    for x in range(lat.n):
+        assert witness[core_label(lat, lab, x)] == (x_down(lat, x), x)
 
 
 @settings(deadline=None)
