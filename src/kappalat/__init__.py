@@ -13,6 +13,7 @@ from .orders import (
     cjr,
     clo_leq,
     coincide_sufficient,
+    compare_orders,
     core_label,
     extended_kappa,
     extended_kappa_table,
@@ -74,6 +75,7 @@ __all__ = [
     "cjr",
     "clo_leq",
     "coincide_sufficient",
+    "compare_orders",
     "core_label",
     "derived_poset",
     "down_jlabel",

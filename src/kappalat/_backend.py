@@ -109,6 +109,31 @@ def cover_meet_label(up: Sequence[int], down: Sequence[int], upper: int, lower: 
     return m if cand & ~down[m] == 0 else -1
 
 
+def arrow_labels(
+    up: Sequence[int], down: Sequence[int], covers: Sequence[tuple[int, int]]
+) -> tuple[list[int], list[int]] | None:
+    """Join and meet labels of every cover, in the order given, or None.
+
+    One loop computes both labels of each cover by the rules of
+    cover_join_label and cover_meet_label, and returns None at the first
+    cover that lacks either label.
+    """
+    gamma: list[int] = []
+    mu: list[int] = []
+    for u, l in covers:
+        cand = down[u] & ~down[l]
+        j = (cand & -cand).bit_length() - 1
+        if cand & ~up[j]:
+            return None
+        cand = up[l] & ~up[u]
+        m = cand.bit_length() - 1
+        if cand & ~down[m]:
+            return None
+        gamma.append(j)
+        mu.append(m)
+    return gamma, mu
+
+
 def sd_witness(
     n: int, up: Sequence[int], down: Sequence[int], covers: Sequence[tuple[int, int]]
 ) -> tuple[str, int, int, int] | None:
@@ -120,10 +145,7 @@ def sd_witness(
     violating triple: the join law first, then the meet law, which is the
     same sweep on the dual order.
     """
-    if all(
-        cover_join_label(up, down, u, l) >= 0 and cover_meet_label(up, down, u, l) >= 0
-        for u, l in covers
-    ):
+    if arrow_labels(up, down, covers) is not None:
         return None
     return (
         _law_witness("join", n, up, down, lowest_bit, highest_bit)

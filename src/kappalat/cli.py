@@ -81,12 +81,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
     lat = _load(args.file)
     print(f"lattice: {lat.n} elements, {len(lat.covers)} covers")
     print(f"bottom: {lat.names[lat.bottom]}   top: {lat.names[lat.top]}")
-    witness = labeling.semidistributive_witness(lat)
-    if witness is not None:
-        print(f"semidistributive: no ({witness.describe(lat)})")
+    try:
+        lab = labeling.full_labeling(lat)
+    except NotSemidistributive as exc:
+        # the message is the witness triple's describe()
+        print(f"semidistributive: no ({exc})")
         return 3
     print("semidistributive: yes")
-    lab = labeling.full_labeling(lat)
     jirr = list(bits_of(lab.jirr))
     mirr = list(bits_of(lab.mirr))
     print(f"jirr ({len(jirr)}): " + ", ".join(lat.names[j] for j in jirr))
@@ -103,12 +104,11 @@ def _cmd_labels(args: argparse.Namespace) -> int:
     if args.dot:
         sys.stdout.write(io.emit_dot(lat, lab))
         return 0
-    for arrow in lat.covers:
-        u, l = arrow
-        print(
-            f"{lat.names[u]} -> {lat.names[l]} : "
-            f"gamma={lat.names[lab.gamma[arrow]]} mu={lat.names[lab.mu[arrow]]}"
-        )
+    names, gamma, mu = lat.names, lab.gamma, lab.mu
+    sys.stdout.write("".join([
+        f"{names[u]} -> {names[l]} : gamma={names[gamma[u, l]]} mu={names[mu[u, l]]}\n"
+        for u, l in lat.covers
+    ]))
     return 0
 
 
@@ -157,7 +157,7 @@ def _cmd_orders(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     lat = _load(args.file)
     lab = labeling.full_labeling(lat)
-    mismatch = orders_mod.first_order_mismatch(lat, lab)
+    mismatch, failures = orders_mod.compare_orders(lat, lab)
     if mismatch is None:
         print("orders coincide: yes")
     else:
@@ -172,7 +172,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             f"  kappa_leq({lat.names[x]}, {lat.names[y]}) = "
             f"{orders_mod.kappa_leq(lat, lab, x, y)}"
         )
-    failures = orders_mod.sufficiency_failures(lat, lab)
     if failures:
         print(
             "sufficient condition: fails at "

@@ -23,11 +23,12 @@ from .labeling import ArrowLabeling
 
 KINDS = ("all", "wide", "ice")
 
-# Desk-scale caps for derived_poset.  The sweep visits every interval, and
-# inclusion is an m x m bit relation over the m distinct label sets.
-# weak_sym(6) (31,711 intervals, 21,932 sets), weak_dihedral(200) (40,599 and
-# 40,198) and boolean(12) (531,441 and 4,096) fit; chain(5000) (12.5 M
-# intervals) and chain(1000) "all" (499,501 sets) do not.
+# Desk-scale caps for derived_poset.  The sweep visits every interval of the
+# requested kind, and inclusion is an m x m bit relation over the m distinct
+# label sets.  weak_sym(6) (31,711 intervals, 21,932 sets), weak_dihedral(200)
+# (40,599 and 40,198) and boolean(12) (531,441 and 4,096) fit; chain(5000)
+# "all" (12.5 M intervals) and chain(1000) "all" (499,501 sets) do not, while
+# chain(5000) "wide" sweeps 9,999.
 MAX_INTERVALS = 2_000_000
 MAX_LABEL_SETS = 50_000
 
@@ -126,17 +127,28 @@ def interval_tops(lattice: Lattice, kind: str) -> Sequence[int]:
     Conversely a wide b is a v VS for S the covers of a below b.  Those
     joins are the closure of {a} under joining with each cover in turn:
     one join per reached element per cover.
+
+    Raises TooLarge when the tops hold more than MAX_INTERVALS intervals:
+    for all, from the interval count before anything is built; for wide,
+    as soon as the running total of the closures passes the cap.
     """
     up = lattice.up
     if kind == "all":
+        count = lattice.interval_count()
+        if count > MAX_INTERVALS:
+            raise TooLarge(f"{count} intervals to sweep exceeds the cap of {MAX_INTERVALS}")
         return up
     if kind == "ice":
         down = lattice.down
-        return [
+        tops = [
             up[a] & down[lowest_bit(reduce(and_, [up[c] for c in uppers], up[a]))]
             for a, uppers in enumerate(lattice._cover_ups)
         ]
+        if sum(t.bit_count() for t in tops) > MAX_INTERVALS:
+            raise _too_many(kind)
+        return tops
     tops = []
+    total = 0
     for a, uppers in enumerate(lattice._cover_ups):
         reached = 1 << a
         for c in uppers:
@@ -145,7 +157,16 @@ def interval_tops(lattice: Lattice, kind: str) -> Sequence[int]:
                 common = up[w] & uc  # its lowest bit is w v c
                 reached |= common & -common
         tops.append(reached)
+        total += reached.bit_count()
+        if total > MAX_INTERVALS:
+            raise _too_many(kind)
     return tops
+
+
+def _too_many(kind: str) -> TooLarge:
+    return TooLarge(
+        f"more than {MAX_INTERVALS} {kind} intervals to sweep; the cap is {MAX_INTERVALS}"
+    )
 
 
 def supersets(sets: Sequence[int]) -> list[int]:
@@ -193,21 +214,19 @@ class SetFamilyPoset:
 def derived_poset(lattice: Lattice, labeling: ArrowLabeling, kind: str) -> SetFamilyPoset:
     """Sweep the intervals of the requested kind and assemble the label poset.
 
-    Raises TooLarge, before the sweep, when the lattice has more than
-    MAX_INTERVALS intervals, and, before inclusion is built, when the
-    sweep finds more than MAX_LABEL_SETS distinct label sets (it stops at
-    the first set past the cap).
+    Raises TooLarge, before the sweep, when there are more than
+    MAX_INTERVALS intervals of the kind (see interval_tops), and, before
+    inclusion is built, when the sweep finds more than MAX_LABEL_SETS
+    distinct label sets (it stops at the first set past the cap).
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    count = lattice.interval_count()
-    if count > MAX_INTERVALS:
-        raise TooLarge(f"{count} intervals to sweep exceeds the cap of {MAX_INTERVALS}")
+    tops = interval_tops(lattice, kind)
     jirr_ids = list(bits_of(labeling.jirr))
     # compressed masks over join-irreducible positions: one AND per interval
     belowj, kge = label_tables(lattice, labeling, {j: 1 << p for p, j in enumerate(jirr_ids)})
 
-    images = _backend.interval_images(belowj, kge, interval_tops(lattice, kind), MAX_LABEL_SETS)
+    images = _backend.interval_images(belowj, kge, tops, MAX_LABEL_SETS)
     if len(images) > MAX_LABEL_SETS:
         raise TooLarge(
             f"more than {MAX_LABEL_SETS} distinct {kind} label sets; the cap is {MAX_LABEL_SETS}"

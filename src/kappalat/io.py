@@ -146,7 +146,7 @@ def emit_dot(
     for u, l in lattice.covers:
         label = ""
         if labeling is not None:
-            label = f' [label="{lattice.names[labeling.gamma[(u, l)]]}"]'
+            label = f" [label={quoted[labeling.gamma[(u, l)]]}]"
         lines.append(f"  {quoted[u]} -> {quoted[l]}{label};")
     lines.append("}\n")
     return "\n".join(lines)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _backend
-from ._bits import bits_of, mask_of
+from ._bits import bits_of, highest_bit, lowest_bit, mask_of
 from .errors import (
     InternalInvariant,
     NotAnArrow,
@@ -53,12 +53,12 @@ def is_semidistributive(lattice: Lattice) -> bool:
 
 def join_irreducibles(lattice: Lattice) -> int:
     """Bitmask of elements x with star_down(x) != x (exactly one lower cover)."""
-    return mask_of(x for x in range(lattice.n) if len(lattice.covers_down(x)) == 1)
+    return mask_of(x for x, lowers in enumerate(lattice._cover_downs) if len(lowers) == 1)
 
 
 def meet_irreducibles(lattice: Lattice) -> int:
     """Bitmask of elements x with star_up(x) != x (exactly one upper cover)."""
-    return mask_of(x for x in range(lattice.n) if len(lattice.covers_up(x)) == 1)
+    return mask_of(x for x, uppers in enumerate(lattice._cover_ups) if len(uppers) == 1)
 
 
 def _require_arrow(lattice: Lattice, arrow: tuple[int, int]) -> None:
@@ -145,26 +145,32 @@ def full_labeling(lattice: Lattice) -> ArrowLabeling:
     """Label every Hasse arrow and tabulate kappa, verifying the identities.
 
     The lattice is semidistributive iff every arrow has both labels, so
-    a missing label (-1) is what sends it to semidistributive_witness for
-    the violating triple named in NotSemidistributive.
+    a missing label (arrow_labels gives None) is what sends it to
+    semidistributive_witness for the violating triple named in
+    NotSemidistributive.
 
     Checks, before returning: kappa and kappa_dual are mutually inverse
     bijections jirr <-> mirr, mu agrees with kappa o gamma on every arrow,
     and j v kappa(j) = star_up(kappa(j)), j ^ kappa(j) = star_down(j).
+    The stars are the one upper cover of kappa(j) and the one lower cover
+    of j.
     """
-    up, down = lattice.up, lattice.down
-    gamma = {a: _backend.cover_join_label(up, down, *a) for a in lattice.covers}
-    mu = {a: _backend.cover_meet_label(up, down, *a) for a in lattice.covers}
-    if -1 in gamma.values() or -1 in mu.values():
+    up, down, covers = lattice.up, lattice.down, lattice.covers
+    labels = _backend.arrow_labels(up, down, covers)
+    if labels is None:
         witness = semidistributive_witness(lattice)
         if witness is None:
             raise InternalInvariant("an arrow lacks a label but no semidistributive law fails")
         raise NotSemidistributive(witness.describe(lattice))
+    gamma_list, mu_list = labels
+    gamma = dict(zip(covers, gamma_list))
+    mu = dict(zip(covers, mu_list))
 
+    cover_ups, cover_downs = lattice._cover_ups, lattice._cover_downs
     jirr = join_irreducibles(lattice)
     mirr = meet_irreducibles(lattice)
-    kappa_table = {j: mu[(j, lattice.covers_down(j)[0])] for j in bits_of(jirr)}
-    kappa_dual_table = {m: gamma[(lattice.covers_up(m)[0], m)] for m in bits_of(mirr)}
+    kappa_table = {j: mu[(j, cover_downs[j][0])] for j in bits_of(jirr)}
+    kappa_dual_table = {m: gamma[(cover_ups[m][0], m)] for m in bits_of(mirr)}
 
     if not (
         all((mirr >> m) & 1 for m in kappa_table.values())
@@ -173,12 +179,12 @@ def full_labeling(lattice: Lattice) -> ArrowLabeling:
         and all(kappa_table[j] == m for m, j in kappa_dual_table.items())
     ):
         raise InternalInvariant("kappa and kappa_dual are not inverse bijections jirr <-> mirr")
-    if not all(mu[a] == kappa_table.get(gamma[a]) for a in lattice.covers):
+    if mu_list != list(map(kappa_table.get, gamma_list)):
         raise InternalInvariant("mu differs from kappa o gamma on some arrow")
     for j, m in kappa_table.items():
         if (
-            lattice._join2(j, m) != lattice.star_up(m)
-            or lattice._meet2(j, m) != lattice.star_down(j)
+            lowest_bit(up[j] & up[m]) != cover_ups[m][0]
+            or highest_bit(down[j] & down[m]) != cover_downs[j][0]
         ):
             raise InternalInvariant(
                 f"j v kappa(j) = star_up(kappa(j)) or j ^ kappa(j) = star_down(j) "

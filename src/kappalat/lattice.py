@@ -11,12 +11,16 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import starmap
+from operator import eq, gt
+from typing import NoReturn
 
 from . import _backend
 from ._bits import bits_of, highest_bit, lowest_bit
 from .errors import (
     CyclicCovers,
     DuplicateName,
+    InternalInvariant,
     InvalidInterval,
     NoBoundedStructure,
     NotALattice,
@@ -129,67 +133,78 @@ def build_lattice(names: Sequence[str], covers: Iterable[tuple[str, str]]) -> La
     Cover pairs are (upper, lower): the upper element covers the lower
     one.  The input must be exactly a Hasse quiver; transitively implied
     pairs are rejected rather than dropped.
+
+    When every cover goes from a later input position to an earlier one
+    (as in canonical documents), the input order is already the order
+    _topological_order would return, so the Kahn sort and the reindexing
+    are skipped.  The smallest-ready-first Kahn order is then the
+    identity, by induction on the step k: once 0..k-1 are placed, every
+    lower cover of k, being earlier, is placed, so k is ready, and every
+    ready element is unplaced, hence at least k.
     """
     names = list(names)
     if not names:
         raise NoBoundedStructure("empty element list has no top or bottom")
-    if len(names) > MAX_ELEMENTS:
-        raise TooLarge(f"{len(names)} elements exceeds the cap of {MAX_ELEMENTS}")
-    seen: set[str] = set()
-    for name in names:
-        if name in seen:
-            raise DuplicateName(f"element name {name!r} occurs more than once")
-        seen.add(name)
-
-    index = {name: i for i, name in enumerate(names)}
-    cover_pairs: list[tuple[int, int]] = []
-    pair_set: set[tuple[int, int]] = set()
-    for upper, lower in covers:
-        if upper not in index:
-            raise UnknownName(f"cover references unknown element {upper!r}")
-        if lower not in index:
-            raise UnknownName(f"cover references unknown element {lower!r}")
-        u, l = index[upper], index[lower]
-        if u == l:
-            raise CyclicCovers(f"element {upper!r} covers itself")
-        if (u, l) in pair_set:
-            raise RedundantCover(f"cover {upper!r} > {lower!r} given twice")
-        pair_set.add((u, l))
-        cover_pairs.append((u, l))
-
-    order = _topological_order(len(names), cover_pairs)
-    # reindex so ids form a linear extension from the bottom
-    old_to_new = [0] * len(names)
-    for new, old in enumerate(order):
-        old_to_new[old] = new
-    names = [names[old] for old in order]
-    cover_pairs = sorted((old_to_new[u], old_to_new[l]) for u, l in cover_pairs)
-
     n = len(names)
-    up = [1 << x for x in range(n)]
+    if n > MAX_ELEMENTS:
+        raise TooLarge(f"{n} elements exceeds the cap of {MAX_ELEMENTS}")
+    index = dict(zip(names, range(n)))
+    if len(index) != n:
+        _raise_first_defect(names, index, ())
+    covers = list(covers)
+    try:
+        cover_pairs = [(index[upper], index[lower]) for upper, lower in covers]
+    except KeyError:
+        cover_pairs = []
+    if (
+        len(cover_pairs) != len(covers)
+        or len(set(cover_pairs)) != len(cover_pairs)
+        or any(starmap(eq, cover_pairs))
+    ):
+        _raise_first_defect(names, index, covers)
+
+    if not all(starmap(gt, cover_pairs)):
+        order = _topological_order(n, cover_pairs)
+        # reindex so ids form a linear extension from the bottom
+        old_to_new = [0] * n
+        for new, old in enumerate(order):
+            old_to_new[old] = new
+        names = [names[old] for old in order]
+        index = dict(zip(names, range(n)))
+        cover_pairs = [(old_to_new[u], old_to_new[l]) for u, l in cover_pairs]
+
     cover_downs: list[list[int]] = [[] for _ in range(n)]
+    for u, l in cover_pairs:
+        cover_downs[u].append(l)
+    for lowers in cover_downs:
+        lowers.sort()
+    # sorted by (upper, lower), so every cover_ups[l] comes out ascending too
+    cover_pairs = [(u, l) for u, lowers in enumerate(cover_downs) for l in lowers]
     cover_ups: list[list[int]] = [[] for _ in range(n)]
     for u, l in cover_pairs:
         cover_ups[l].append(u)
-        cover_downs[u].append(l)
+    up = [0] * n
     for x in range(n - 1, -1, -1):
+        mask = 1 << x
         for u in cover_ups[x]:
-            up[x] |= up[u]
-    down = [1 << x for x in range(n)]
-    for x in range(n):
-        for l in cover_downs[x]:
-            down[x] |= down[l]
+            mask |= up[u]
+        up[x] = mask
+    down = [0] * n
+    for x, lowers in enumerate(cover_downs):
+        mask = 1 << x
+        for l in lowers:
+            mask |= down[l]
+        down[x] = mask
 
     for u, l in cover_pairs:
-        between = up[l] & down[u] & ~(1 << u) & ~(1 << l)
-        if between:
-            z = names[lowest_bit(between)]
+        if up[l] & down[u] != (1 << u) | (1 << l):
+            z = names[lowest_bit(up[l] & down[u] & ~(1 << u) & ~(1 << l))]
             raise RedundantCover(
                 f"cover {names[u]!r} > {names[l]!r} is implied via {z!r}"
             )
 
-    bottoms = [x for x in range(n) if down[x] == 1 << x]
-    tops = [x for x in range(n) if up[x] == 1 << x]
+    bottoms = [x for x, lowers in enumerate(cover_downs) if not lowers]
+    tops = [x for x, uppers in enumerate(cover_ups) if not uppers]
     if len(bottoms) != 1 or len(tops) != 1:
         raise NoBoundedStructure(
             f"{len(bottoms)} minimal and {len(tops)} maximal elements; need exactly one of each"
@@ -210,11 +225,39 @@ def build_lattice(names: Sequence[str], covers: Iterable[tuple[str, str]]) -> La
         covers=tuple(cover_pairs),
         bottom=bottom,
         top=top,
-        _index={name: i for i, name in enumerate(names)},
-        # cover_pairs is sorted by (upper, lower), so both lists are ascending
+        _index=index,
         _cover_ups=tuple(map(tuple, cover_ups)),
         _cover_downs=tuple(map(tuple, cover_downs)),
     )
+
+
+def _raise_first_defect(
+    names: Sequence[str], index: dict[str, int], covers: Sequence[tuple[str, str]]
+) -> NoReturn:
+    """Raise the error for the first defect of the input, scanned item by item.
+
+    A repeated name comes first; then, cover by cover in input order, an
+    unknown upper or lower name, a self cover or a repeated pair.  Runs
+    only after a bulk test in build_lattice failed.
+    """
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise DuplicateName(f"element name {name!r} occurs more than once")
+        seen.add(name)
+    pair_set: set[tuple[int, int]] = set()
+    for upper, lower in covers:
+        if upper not in index:
+            raise UnknownName(f"cover references unknown element {upper!r}")
+        if lower not in index:
+            raise UnknownName(f"cover references unknown element {lower!r}")
+        u, l = index[upper], index[lower]
+        if u == l:
+            raise CyclicCovers(f"element {upper!r} covers itself")
+        if (u, l) in pair_set:
+            raise RedundantCover(f"cover {upper!r} > {lower!r} given twice")
+        pair_set.add((u, l))
+    raise InternalInvariant("a bulk input test failed but the scan finds no defect")
 
 
 def _topological_order(n: int, cover_pairs: list[tuple[int, int]]) -> list[int]:

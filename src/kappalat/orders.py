@@ -11,7 +11,7 @@ and this module also evaluates the sufficient condition separating the
 two situations.
 
 The whole-lattice functions (extended_kappa_table, order_poset,
-sufficiency_failures) read everything off per-lattice tables built by
+compare_orders) read everything off per-lattice tables built by
 passes over the covers: each element's down- and up-arrow label masks
 (one pass over gamma), the interval label halves belowj/kge
 (intervals.label_tables), and the down-set of extended-kappa images.
@@ -258,6 +258,19 @@ def _check_antisymmetric(lattice: Lattice, kind: str, up_rel: Sequence[int]) -> 
             )
 
 
+def _clo_up(lattice: Lattice, cores: Sequence[int]) -> list[int]:
+    """up_rel[x] = {y | cores[x] within cores[y]}: the core label order's up-sets.
+
+    Checked first: every x is the join of its core labels, on which
+    posethood rests.
+    """
+    up, everything = lattice.up, lattice.up[lattice.bottom]
+    for x, core in enumerate(cores):
+        if lowest_bit(reduce(and_, pick(up, core), everything)) != x:
+            raise InternalInvariant(f"{lattice.names[x]!r} is not the join of its core label set")
+    return supersets(cores)
+
+
 def order_poset(lattice: Lattice, labeling: ArrowLabeling, kind: str) -> OrderRelation:
     """Relation matrix and Hasse covers of the kappa or core label order.
 
@@ -278,30 +291,49 @@ def order_poset(lattice: Lattice, labeling: ArrowLabeling, kind: str) -> OrderRe
     if kind == "kappa":
         up_rel = _kappa_up(lattice, extended_kappa_table(lattice, labeling))
     else:
-        cores = _core_labels(lattice, labeling)[0]
-        up, everything = lattice.up, lattice.up[lattice.bottom]
-        for x, core in enumerate(cores):
-            # posethood rests on x being recoverable as the join of its core labels
-            if lowest_bit(reduce(and_, pick(up, core), everything)) != x:
-                raise InternalInvariant(
-                    f"{lattice.names[x]!r} is not the join of its core label set"
-                )
-        up_rel = supersets(cores)
+        up_rel = _clo_up(lattice, _core_labels(lattice, labeling)[0])
     _check_antisymmetric(lattice, kind, up_rel)
     # both orders refine the lattice order, whose ids form a linear extension
     hasse = _backend.transitive_reduction(lattice.n, up_rel)
     return OrderRelation(kind=kind, up=tuple(up_rel), hasse=tuple(hasse))
 
 
+def compare_orders(
+    lattice: Lattice, labeling: ArrowLabeling
+) -> tuple[tuple[int, int] | None, tuple[int, ...]]:
+    """(first_order_mismatch, sufficiency_failures) off one set of tables.
+
+    One extended_kappa_table and one _core_labels serve both answers, and
+    the two orders are compared on their up-sets, so no Hasse diagram is
+    built.  The checks run in the order order_poset runs them for kappa
+    and then for clo, so the same error is raised first.
+
+    The mismatch is the first pair (x, y) in lex id order on which the two
+    orders disagree.  The sufficient condition for them to coincide asks,
+    at every x, that jlabel[x_down, x] equal
+    {j join-irreducible | j <= x and kappa(j) >= extended_kappa(x)}, which
+    is belowj[x] & kge[extended_kappa(x)]; the failures are the x where it
+    does not hold.
+    """
+    exk = extended_kappa_table(lattice, labeling)
+    by_kappa = _kappa_up(lattice, exk)
+    _check_antisymmetric(lattice, "kappa", by_kappa)
+    cores, belowj, kge = _core_labels(lattice, labeling)
+    by_clo = _clo_up(lattice, cores)
+    _check_antisymmetric(lattice, "clo", by_clo)
+    mismatch = next(
+        ((x, lowest_bit(k ^ c)) for x, (k, c) in enumerate(zip(by_kappa, by_clo)) if k != c),
+        None,
+    )
+    failures = tuple(
+        x for x, (core, bj, z) in enumerate(zip(cores, belowj, exk)) if core != bj & kge[z]
+    )
+    return mismatch, failures
+
+
 def first_order_mismatch(lattice: Lattice, labeling: ArrowLabeling) -> tuple[int, int] | None:
     """First pair (x, y) in lex id order on which the two orders disagree."""
-    by_kappa = order_poset(lattice, labeling, "kappa")
-    by_clo = order_poset(lattice, labeling, "clo")
-    for x in range(lattice.n):
-        diff = by_kappa.up[x] ^ by_clo.up[x]
-        if diff:
-            return (x, (diff & -diff).bit_length() - 1)
-    return None
+    return compare_orders(lattice, labeling)[0]
 
 
 def orders_coincide(lattice: Lattice, labeling: ArrowLabeling) -> bool:
@@ -311,16 +343,9 @@ def orders_coincide(lattice: Lattice, labeling: ArrowLabeling) -> bool:
 def sufficiency_failures(lattice: Lattice, labeling: ArrowLabeling) -> tuple[int, ...]:
     """Elements where the core label set differs from the kappa-bounded one.
 
-    The sufficient condition for the two orders to coincide asks, at
-    every x, that jlabel[x_down, x] equal
-    {j join-irreducible | j <= x and kappa(j) >= extended_kappa(x)},
-    which is belowj[x] & kge[extended_kappa(x)].
+    See compare_orders for the condition.
     """
-    cores, belowj, kge = _core_labels(lattice, labeling)
-    exk = extended_kappa_table(lattice, labeling)
-    return tuple(
-        x for x, (core, bj, z) in enumerate(zip(cores, belowj, exk)) if core != bj & kge[z]
-    )
+    return compare_orders(lattice, labeling)[1]
 
 
 def coincide_sufficient(lattice: Lattice, labeling: ArrowLabeling) -> bool:

@@ -22,6 +22,7 @@ from kappalat import (
     gen_weak_dihedral,
     gen_weak_sym,
 )
+from kappalat.errors import CyclicCovers, DuplicateName, RedundantCover, UnknownName
 
 
 @cache
@@ -277,3 +278,41 @@ def first_two_way_pair(up_rel) -> tuple[int, int] | None:
             if y != x and (up_rel[x] >> y) & 1 and (up_rel[y] >> x) & 1:
                 return (x, y)
     return None
+
+
+def first_input_defect(names, covers) -> tuple[type, str] | None:
+    """The first defect of a document's names and covers, item by item.
+
+    (error type, message) of the error build_lattice must raise, or None.
+    A repeated name comes first; then, cover by cover in input order, an
+    unknown upper or lower name, a self cover or a pair given twice.  This
+    is the per-item scan build_lattice ran on every input before it
+    validated in bulk.
+    """
+    seen = set()
+    for name in names:
+        if name in seen:
+            return DuplicateName, f"element name {name!r} occurs more than once"
+        seen.add(name)
+    pairs = set()
+    for upper, lower in covers:
+        for name in (upper, lower):
+            if name not in seen:
+                return UnknownName, f"cover references unknown element {name!r}"
+        if upper == lower:
+            return CyclicCovers, f"element {upper!r} covers itself"
+        if (upper, lower) in pairs:
+            return RedundantCover, f"cover {upper!r} > {lower!r} given twice"
+        pairs.add((upper, lower))
+    return None
+
+
+def per_cover_labels(lattice: Lattice) -> tuple[list[int], list[int]]:
+    """Join and meet labels of every cover from the per-cover kernels, -1 where missing."""
+    from kappalat._backend import cover_join_label, cover_meet_label
+
+    up, down = lattice.up, lattice.down
+    return (
+        [cover_join_label(up, down, u, l) for u, l in lattice.covers],
+        [cover_meet_label(up, down, u, l) for u, l in lattice.covers],
+    )

@@ -143,10 +143,32 @@ class TestPosetCaps:
 
         monkeypatch.setattr(intervals._backend, "interval_images", no_sweep)
         monkeypatch.setattr(intervals, "MAX_INTERVALS", 819)
-        assert cli_main(["posets", chain40_file, "--kind", "wide"]) == 2
+        assert cli_main(["posets", chain40_file, "--kind", "all"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: 820 intervals to sweep exceeds the cap of 819\n"
+
+    def test_interval_cap_counts_the_requested_kind(self, tmp_path, capsys, monkeypatch):
+        # chain(20): 210 intervals, of which 39 are wide and 39 are ICE
+        path = tmp_path / "chain20.json"
+        path.write_text(emit_lattice(gen_chain(20)), encoding="utf-8")
+        monkeypatch.setattr(intervals, "MAX_INTERVALS", 39)
+        for kind in ("wide", "ice"):
+            assert cli_main(["posets", str(path), "--kind", kind]) == 0
+            assert len(json.loads(capsys.readouterr().out)["members"]) == 20
+        assert cli_main(["posets", str(path), "--kind", "all"]) == 2
+        assert capsys.readouterr().err == "error: 210 intervals to sweep exceeds the cap of 39\n"
+
+        def no_sweep(*args):
+            raise AssertionError("swept past the interval cap")
+
+        monkeypatch.setattr(intervals._backend, "interval_images", no_sweep)
+        monkeypatch.setattr(intervals, "MAX_INTERVALS", 38)
+        for kind in ("wide", "ice"):
+            assert cli_main(["posets", str(path), "--kind", kind]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: more than 38 {kind} intervals to sweep; the cap is 38\n"
 
     def test_label_set_cap_refuses_before_relation(self, chain40_file, capsys, monkeypatch):
         def no_relation(sets):

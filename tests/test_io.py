@@ -172,6 +172,14 @@ class TestDot:
         dot = emit_dot(lat)
         assert '"a\\"b"' in dot
 
+    def test_edge_label_quoting(self):
+        from kappalat import build_lattice
+
+        lat = build_lattice(["0", 'a"b', "c\\d"], [('a"b', "0"), ("c\\d", 'a"b')])
+        dot = emit_dot(lat, full_labeling(lat))
+        assert '"a\\"b" -> "0" [label="a\\"b"];' in dot
+        assert '"c\\\\d" -> "a\\"b" [label="c\\\\d"];' in dot
+
 
 class TestJsonWriters:
     @settings(max_examples=60, deadline=None)

@@ -10,7 +10,14 @@ import pytest
 
 import kappalat
 
-from helpers import brute_semidistributive, labeled_corpus, small_corpus, small_labeled_corpus
+from helpers import (
+    brute_semidistributive,
+    corpus,
+    labeled_corpus,
+    per_cover_labels,
+    small_corpus,
+    small_labeled_corpus,
+)
 from kappalat import (
     _backend,
     bits_of,
@@ -175,6 +182,12 @@ class TestIrreducibles:
 
 
 class TestArrowLabels:
+    def test_one_pass_kernel_matches_the_per_cover_kernels(self):
+        for name, lat in corpus():
+            assert _backend.arrow_labels(lat.up, lat.down, lat.covers) == per_cover_labels(lat)
+        lat = m3()
+        assert _backend.arrow_labels(lat.up, lat.down, lat.covers) is None
+
     def test_fig1_examples(self):
         lat = gen_fig1()
         arrow = (lat.id_of("2*"), lat.id_of("4"))
@@ -297,7 +310,13 @@ def test_invariant_checks_survive_python_O():
         from kappalat.errors import InternalInvariant
 
         assert False, "asserts run, so -O is not in effect"
-        backend.cover_meet_label = lambda up, down, upper, lower: lower
+        exact = backend.arrow_labels
+
+        def lower_as_meet_label(up, down, covers):
+            gamma, _ = exact(up, down, covers)
+            return gamma, [lower for _, lower in covers]
+
+        backend.arrow_labels = lower_as_meet_label
         try:
             full_labeling(gen_fig1())
         except InternalInvariant as exc:

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_covers, brute_join, brute_meet, corpus, small_labeled_corpus
+from helpers import (
+    brute_covers,
+    brute_join,
+    brute_meet,
+    corpus,
+    first_input_defect,
+    small_labeled_corpus,
+)
 from kappalat import Lattice, bits_of, build_lattice, gen_a2, gen_boolean, gen_fig1
 from kappalat.errors import (
     CyclicCovers,
@@ -19,6 +26,7 @@ from kappalat.errors import (
     UnknownElement,
     UnknownName,
 )
+from kappalat.lattice import _topological_order
 from strategies import build, large_orders, lattices
 
 
@@ -66,8 +74,10 @@ class TestBuild:
             build_lattice(["a", "b"], [("a", "c")])
 
     def test_self_cover(self):
-        with pytest.raises(CyclicCovers):
+        with pytest.raises(CyclicCovers, match="^element 'a' covers itself$"):
             build_lattice(["a", "b"], [("a", "a"), ("b", "a")])
+        with pytest.raises(CyclicCovers, match="^element 'b' covers itself$"):
+            build_lattice(["a", "b"], [("b", "a"), ("b", "b")])
 
     def test_cycle(self):
         with pytest.raises(CyclicCovers):
@@ -166,6 +176,47 @@ class TestBuild:
                     other.id_of(x), other.id_of(y)
                 )
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("unknown", "self"),
+            ("self", "repeated"),
+            ("repeated", "unknown"),
+            ("duplicate_name", "unknown"),
+            ("duplicate_name", "self"),
+            ("duplicate_name", "repeated"),
+        ],
+    )
+    def test_first_of_two_defects_is_named(self, first, second):
+        base = gen_fig1()
+        names = list(base.names)
+        covers = [(base.names[u], base.names[l]) for u, l in base.covers]
+        defects = {
+            "unknown": ("cover", [("2", "nowhere"), ("nowhere", "3"), ("nowhere", "elsewhere")]),
+            "self": ("cover", [("3", "3"), ("nowhere", "nowhere")]),
+            "repeated": ("cover", covers[3:6]),
+            "duplicate_name": ("name", ["5", "0*"]),
+        }
+        rng = random.Random(f"{first} {second}")
+        for kinds in ((first, second), (second, first)):
+            for _ in range(10):
+                doc_names, doc_covers = list(names), list(covers)
+                # the second defect goes after the first, so input order decides
+                at = rng.randrange(len(doc_covers) + 1)
+                for kind in kinds:
+                    where, items = defects[kind]
+                    item = rng.choice(items)
+                    if where == "name":
+                        doc_names.insert(rng.randrange(len(doc_names) + 1), item)
+                    else:
+                        at = rng.randint(at, len(doc_covers))
+                        doc_covers.insert(at, item)
+                        at += 1
+                error, message = first_input_defect(doc_names, doc_covers)
+                with pytest.raises(error) as info:
+                    build_lattice(doc_names, doc_covers)
+                assert type(info.value) is error and str(info.value) == message
+
     def test_rebuild_is_deterministic(self):
         lat = gen_fig1()
         again = build_lattice(
@@ -173,6 +224,27 @@ class TestBuild:
         )
         assert again.names == lat.names
         assert again.covers == lat.covers
+
+
+@settings(deadline=None)
+@given(lattices(), st.randoms(use_true_random=True))
+def test_kahn_order_of_a_linear_extension_is_the_identity(order, rng):
+    n, covers = order
+    lowers = [[l for u, l in covers if u == x] for x in range(n)]
+    # a random linear extension: place a random element whose lower covers are placed
+    position: dict[int, int] = {}
+    while len(position) < n:
+        ready = [
+            x for x in range(n) if x not in position and all(l in position for l in lowers[x])
+        ]
+        position[rng.choice(ready)] = len(position)
+    pairs = [(position[u], position[l]) for u, l in covers]
+    rng.shuffle(pairs)
+    assert _topological_order(n, pairs) == list(range(n))
+    names = [str(x) for x in sorted(position, key=position.get)]
+    lat = build_lattice(names, [(str(u), str(l)) for u, l in covers])
+    assert lat.names == tuple(names)
+    assert lat.covers == tuple(sorted((position[u], position[l]) for u, l in covers))
 
 
 class TestQueries:

@@ -29,10 +29,13 @@ from kappalat import (
     bits_of,
     cjr,
     clo_leq,
+    compare_orders,
+    emit_lattice,
     extended_kappa,
     extended_kappa_table,
     full_labeling,
     gen_fig1,
+    gen_weak_sym,
     is_semidistributive,
     jlabel,
     kappa_leq,
@@ -40,6 +43,7 @@ from kappalat import (
     order_poset,
     sufficiency_failures,
 )
+from kappalat.cli import cli_main
 from kappalat.errors import InternalInvariant, NotAPartialOrder
 from kappalat.intervals import label_tables
 from kappalat.orders import _check_antisymmetric, _check_joinands
@@ -57,7 +61,16 @@ def _tables_match_pointwise(lat, lab):
     assert extended_kappa_table(lat, lab) == tuple(
         extended_kappa(lat, lab, x) for x in range(lat.n)
     )
-    assert sufficiency_failures(lat, lab) == jirr_sufficiency_failures(lat, lab)
+    failures = jirr_sufficiency_failures(lat, lab)
+    assert sufficiency_failures(lat, lab) == failures
+    by_kappa = order_poset(lat, lab, "kappa").up
+    by_clo = order_poset(lat, lab, "clo").up
+    mismatch = next(
+        ((x, y) for x in range(lat.n) for y in range(lat.n)
+         if (by_kappa[x] >> y) & 1 != (by_clo[x] >> y) & 1),
+        None,
+    )
+    assert compare_orders(lat, lab) == (mismatch, failures)
     jirr_ids = list(bits_of(lab.jirr))
     belowj, kge = label_tables(lat, lab, {j: 1 << j for j in jirr_ids})
     pos_belowj, pos_kge = label_tables(lat, lab, {j: 1 << p for p, j in enumerate(jirr_ids)})
@@ -94,6 +107,33 @@ def test_orders_match_pointwise_on_random_lattices(order):
 @given(lattices())
 def test_tables_match_pointwise_on_random_lattices(order):
     _tables_match_pointwise(*_sd_lattice(order))
+
+
+def test_check_and_compare_build_each_table_once(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "weak_sym4.json"
+    path.write_text(emit_lattice(gen_weak_sym(4)), encoding="utf-8")
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    for module, name in (
+        (kappalat._backend, "arrow_labels"),
+        (kappalat._backend, "transitive_reduction"),
+        (kappalat.orders, "extended_kappa_table"),
+        (kappalat.orders, "_core_labels"),
+    ):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert cli_main(["compare", str(path)]) == 0
+    assert sorted(calls) == ["_core_labels", "arrow_labels", "extended_kappa_table"]
+    calls.clear()
+    assert cli_main(["check", str(path)]) == 0
+    assert calls == ["arrow_labels"]
+    capsys.readouterr()
 
 
 class TestAntisymmetryCertificate:

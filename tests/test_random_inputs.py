@@ -5,6 +5,11 @@ also reach the non-lattice and non-semidistributive branches of the
 lattice test, the semidistributivity test and the arrow labels.
 """
 
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,12 +23,15 @@ from helpers import (
     first_sd_witness,
     order_closure,
     order_masks,
+    per_cover_labels,
     sweep_first_missing_meet,
 )
 from kappalat import (
     _backend,
+    bits_of,
     core_label,
     derived_poset,
+    emit_lattice,
     full_labeling,
     is_ice_interval,
     is_semidistributive,
@@ -35,6 +43,7 @@ from kappalat import (
     semidistributive_witness,
     x_down,
 )
+from kappalat.cli import cli_main
 from kappalat.errors import NotALattice, NotSemidistributive
 from kappalat.intervals import interval_tops
 from strategies import bounded_posets, build, large_orders, lattices
@@ -163,6 +172,54 @@ def test_arrow_labels(order):
         with pytest.raises(NotSemidistributive) as info:
             full_labeling(lat)
         assert str(info.value) == semidistributive_witness(lat).describe(lat)
+
+
+@settings(deadline=None)
+@given(lattices())
+def test_one_pass_arrow_labels_match_the_per_cover_kernels(order):
+    # the dual swaps join and meet labels, so a missing label of either kind is reached
+    for lat in (build(*order), build(*dual(*order))):
+        gamma, mu = per_cover_labels(lat)
+        labels = _backend.arrow_labels(lat.up, lat.down, lat.covers)
+        if -1 in gamma or -1 in mu:
+            assert labels is None
+        else:
+            assert labels == (gamma, mu)
+
+
+def check_oracle(lat) -> tuple[int, str]:
+    """Exit code and stdout of check: semidistributive_witness, then full_labeling."""
+    names = lat.names
+    lines = [
+        f"lattice: {lat.n} elements, {len(lat.covers)} covers",
+        f"bottom: {names[lat.bottom]}   top: {names[lat.top]}",
+    ]
+    witness = semidistributive_witness(lat)
+    if witness is not None:
+        return 3, "\n".join([*lines, f"semidistributive: no ({witness.describe(lat)})", ""])
+    lab = full_labeling(lat)
+    jirr, mirr = list(bits_of(lab.jirr)), list(bits_of(lab.mirr))
+    lines += [
+        "semidistributive: yes",
+        f"jirr ({len(jirr)}): " + ", ".join(names[j] for j in jirr),
+        f"mirr ({len(mirr)}): " + ", ".join(names[m] for m in mirr),
+        "kappa:",
+        *(f"  {names[j]} -> {names[lab.kappa[j]]}" for j in jirr),
+    ]
+    return 0, "\n".join([*lines, ""])
+
+
+@settings(deadline=None)
+@given(lattices())
+def test_check_matches_the_two_step_oracle(order):
+    for lat in (build(*order), build(*dual(*order))):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "lattice.json"
+            path.write_text(emit_lattice(lat), encoding="utf-8")
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli_main(["check", str(path)])
+        assert (code, out.getvalue()) == check_oracle(lat)
 
 
 @settings(deadline=None)
