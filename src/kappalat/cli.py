@@ -37,23 +37,24 @@ from .errors import (
 )
 from .lattice import Lattice
 
-_BUILD_ERRORS = (
-    DuplicateName,
-    UnknownName,
-    CyclicCovers,
-    RedundantCover,
-    NotALattice,
-    NoBoundedStructure,
-    TooLarge,
-    NotAPartialOrder,
-)
-_QUERY_ERRORS = (
-    InvalidInterval,
-    NotAnArrow,
-    NotJoinIrreducible,
-    NotMeetIrreducible,
-    UnknownElement,
-)
+# Exit code of an error: that of the first class of its MRO listed here.
+# Anything else (usage, parse and internal errors) exits 1.
+_EXIT_CODES = {
+    DuplicateName: 2,
+    UnknownName: 2,
+    CyclicCovers: 2,
+    RedundantCover: 2,
+    NotALattice: 2,
+    NoBoundedStructure: 2,
+    TooLarge: 2,
+    NotAPartialOrder: 2,
+    NotSemidistributive: 3,
+    InvalidInterval: 4,
+    NotAnArrow: 4,
+    NotJoinIrreducible: 4,
+    NotMeetIrreducible: 4,
+    UnknownElement: 4,
+}
 
 
 class _UsageError(Exception):
@@ -70,6 +71,8 @@ def _load(path: str) -> Lattice:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 (byte {exc.start})") from None
     return io.parse_lattice(text)
 
 
@@ -196,7 +199,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         meta = {"family": args.family}
     text = io.emit_lattice(lat, meta)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
     return 0
@@ -259,24 +265,9 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, LatticeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _BUILD_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NotSemidistributive as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _QUERY_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except LatticeError as exc:  # defensive: anything uncategorized
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next((_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES), 1)
 
 
 def main() -> None:

@@ -16,7 +16,7 @@ from functools import reduce
 from operator import and_, or_
 
 from . import _backend
-from ._bits import bits_of, lowest_bit, mask_of, pick
+from ._bits import bits_of, mask_of, pick
 from .errors import TooLarge
 from .lattice import Interval, Lattice
 from .labeling import ArrowLabeling
@@ -47,19 +47,14 @@ def label_tables(
     belowj[b] marks the join-irreducibles j <= b and kge[a] those with
     kappa(j) >= a, each j as the mask bit jbit[j] (1 << j for element
     masks, 1 << position for masks compressed to the join-irreducibles).
-    belowj comes from one bottom-up pass over the lower covers, kge from
-    one top-down pass over the upper covers that adds kappa_dual(a) at
-    each meet-irreducible a, so each costs one OR per cover.
+    belowj is or_below over the bits of the join-irreducibles, kge is
+    or_above over the bit of kappa_dual(a) at each meet-irreducible a, so
+    each costs one OR per cover.
     """
     n = lattice.n
-    belowj = [0] * n
-    for b, lowers in enumerate(lattice._cover_downs):
-        belowj[b] = reduce(or_, [belowj[c] for c in lowers], jbit.get(b, 0))
-    kge = [0] * n
     kappa_dual = labeling.kappa_dual
-    for a in range(n - 1, -1, -1):
-        own = jbit[kappa_dual[a]] if a in kappa_dual else 0
-        kge[a] = reduce(or_, [kge[c] for c in lattice._cover_ups[a]], own)
+    belowj = lattice.or_below([jbit.get(b, 0) for b in range(n)])
+    kge = lattice.or_above([jbit[kappa_dual[a]] if a in kappa_dual else 0 for a in range(n)])
     return belowj, kge
 
 
@@ -100,30 +95,23 @@ def up_jlabel(lattice: Lattice, labeling: ArrowLabeling, x: int) -> int:
 def is_wide_interval(lattice: Lattice, iv: Interval) -> bool:
     """b equals a joined with all covers of a that stay below b."""
     a, b = lattice.check_interval(iv)
-    w = a
-    for c in lattice.covers_up(a):
-        if lattice.leq(c, b):
-            w = lattice._join2(w, c)
-    return w == b
+    return lattice.join([a, *(c for c in lattice.covers_up(a) if lattice.leq(c, b))]) == b
 
 
 def is_ice_interval(lattice: Lattice, iv: Interval) -> bool:
     """b lies below a joined with all covers of a (unfiltered)."""
     a, b = lattice.check_interval(iv)
-    bound = a
-    for c in lattice.covers_up(a):
-        bound = lattice._join2(bound, c)
-    return lattice.leq(b, bound)
+    return lattice.leq(b, lattice.join((a, *lattice.covers_up(a))))
 
 
 def interval_tops(lattice: Lattice, kind: str) -> Sequence[int]:
     """tops[a] = the mask of the b for which [a, b] is an interval of kind.
 
     all: up[a] itself, no copy.  ICE: the b in up[a] below the bound
-    a v (all upper covers of a), the lowest bit of the AND of their
-    up-sets.  Wide: the joins a v VS over the sets S of upper covers of
-    a.  If b = a v VS, the covers of a below b include S, and with a they
-    join to at most b, hence to exactly b: [a, b] passes is_wide_interval.
+    a v (all upper covers of a).  Wide: the joins a v VS over the sets S
+    of upper covers of a.  If b = a v VS, the covers of a below b include
+    S, and with a they join to at most b, hence to exactly b: [a, b]
+    passes is_wide_interval.
     Conversely a wide b is a v VS for S the covers of a below b.  Those
     joins are the closure of {a} under joining with each cover in turn:
     one join per reached element per cover.
@@ -141,7 +129,7 @@ def interval_tops(lattice: Lattice, kind: str) -> Sequence[int]:
     if kind == "ice":
         down = lattice.down
         tops = [
-            up[a] & down[lowest_bit(reduce(and_, [up[c] for c in uppers], up[a]))]
+            up[a] & down[lattice.join((a, *uppers))]
             for a, uppers in enumerate(lattice._cover_ups)
         ]
         if sum(t.bit_count() for t in tops) > MAX_INTERVALS:

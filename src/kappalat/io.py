@@ -36,6 +36,10 @@ def parse_document(text: str) -> tuple[Lattice, dict[str, str] | None]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})") from None
+    except RecursionError:
+        raise ParseError("not valid JSON: nested too deeply") from None
+    except ValueError as exc:  # an integer past the int conversion limit
+        raise ParseError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     unknown = set(doc) - {"elements", "covers", "meta"}
@@ -122,6 +126,12 @@ def _quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _digraph(name: str, statements: Iterable[str]) -> str:
+    """DOT digraph laid out top to bottom, one statement per line."""
+    lines = (f"  {s};\n" for s in statements)
+    return "".join([f"digraph {name} {{\n  rankdir=TB;\n", *lines, "}\n"])
+
+
 def emit_dot(
     lattice: Lattice,
     labeling: ArrowLabeling | None = None,
@@ -137,19 +147,18 @@ def emit_dot(
         a, b = lattice.check_interval(highlight_interval)
         inside = lattice.up[a] & lattice.down[b]
     quoted = [_quote(name) for name in lattice.names]
-    lines = ["digraph lattice {", "  rankdir=TB;"]
+    statements = []
     for x in range(lattice.n):
         attrs = ""
         if (inside >> x) & 1:
             attrs = " [style=filled, fillcolor=lightgrey]"
-        lines.append(f"  {quoted[x]}{attrs};")
+        statements.append(f"{quoted[x]}{attrs}")
     for u, l in lattice.covers:
         label = ""
         if labeling is not None:
             label = f" [label={quoted[labeling.gamma[(u, l)]]}]"
-        lines.append(f"  {quoted[u]} -> {quoted[l]}{label};")
-    lines.append("}\n")
-    return "\n".join(lines)
+        statements.append(f"{quoted[u]} -> {quoted[l]}{label}")
+    return _digraph("lattice", statements)
 
 
 def member_name(lattice: Lattice, mask: int) -> str:
@@ -180,11 +189,8 @@ def emit_family_json(lattice: Lattice, family: SetFamilyPoset) -> str:
 
 def emit_family_dot(lattice: Lattice, family: SetFamilyPoset) -> str:
     nodes = [_quote(member_name(lattice, m)) for m in family.members]
-    lines = ["digraph labelsets {", "  rankdir=TB;"]
-    lines.extend(f"  {node};" for node in nodes)
-    lines.extend(f"  {nodes[u]} -> {nodes[l]};" for u, l in family.hasse)
-    lines.append("}\n")
-    return "\n".join(lines)
+    edges = (f"{nodes[u]} -> {nodes[l]}" for u, l in family.hasse)
+    return _digraph("labelsets", chain(nodes, edges))
 
 
 def relation_document(lattice: Lattice, relation: OrderRelation) -> dict[str, Any]:
@@ -207,8 +213,5 @@ def emit_relation_json(lattice: Lattice, relation: OrderRelation) -> str:
 
 def emit_relation_dot(lattice: Lattice, relation: OrderRelation) -> str:
     quoted = [_quote(name) for name in lattice.names]
-    lines = [f"digraph {relation.kind}_order {{", "  rankdir=TB;"]
-    lines.extend(f"  {q};" for q in quoted)
-    lines.extend(f"  {quoted[u]} -> {quoted[l]};" for u, l in relation.hasse)
-    lines.append("}\n")
-    return "\n".join(lines)
+    edges = (f"{quoted[u]} -> {quoted[l]}" for u, l in relation.hasse)
+    return _digraph(f"{relation.kind}_order", chain(quoted, edges))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _backend
-from ._bits import bits_of, highest_bit, lowest_bit, mask_of
+from ._bits import bits_of, mask_of
 from .errors import (
     InternalInvariant,
     NotAnArrow,
@@ -83,7 +83,7 @@ def join_label(lattice: Lattice, arrow: tuple[int, int]) -> int:
         raise NotSemidistributive(
             f"{{x | {lattice.names[lower]} v x = {lattice.names[upper]}}} has no minimum"
         )
-    if lattice._meet2(lower, j) != lattice.star_down(j) or len(lattice.covers_down(j)) != 1:
+    if lattice.meet((lower, j)) != lattice.star_down(j) or len(lattice.covers_down(j)) != 1:
         raise InternalInvariant(
             f"join label {lattice.names[j]!r} of {lattice.names[upper]!r} -> "
             f"{lattice.names[lower]!r} is not a join-irreducible meeting lower in its star"
@@ -100,7 +100,7 @@ def meet_label(lattice: Lattice, arrow: tuple[int, int]) -> int:
         raise NotSemidistributive(
             f"{{x | {lattice.names[upper]} ^ x = {lattice.names[lower]}}} has no maximum"
         )
-    if lattice._join2(upper, m) != lattice.star_up(m) or len(lattice.covers_up(m)) != 1:
+    if lattice.join((upper, m)) != lattice.star_up(m) or len(lattice.covers_up(m)) != 1:
         raise InternalInvariant(
             f"meet label {lattice.names[m]!r} of {lattice.names[upper]!r} -> "
             f"{lattice.names[lower]!r} is not a meet-irreducible joining upper to its star"
@@ -183,8 +183,8 @@ def full_labeling(lattice: Lattice) -> ArrowLabeling:
         raise InternalInvariant("mu differs from kappa o gamma on some arrow")
     for j, m in kappa_table.items():
         if (
-            lowest_bit(up[j] & up[m]) != cover_ups[m][0]
-            or highest_bit(down[j] & down[m]) != cover_downs[j][0]
+            lattice.join((j, m)) != cover_ups[m][0]
+            or lattice.meet((j, m)) != cover_downs[j][0]
         ):
             raise InternalInvariant(
                 f"j v kappa(j) = star_up(kappa(j)) or j ^ kappa(j) = star_down(j) "

@@ -11,8 +11,9 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import starmap
-from operator import eq, gt
+from operator import and_, eq, gt
 from typing import NoReturn
 
 from . import _backend
@@ -65,31 +66,32 @@ class Lattice:
         except KeyError:
             raise UnknownElement(f"no element named {name!r}") from None
 
-    def name(self, x: int) -> str:
-        return self.names[x]
-
     def leq(self, a: int, b: int) -> bool:
         return bool((self.up[a] >> b) & 1)
 
     def join(self, xs: Iterable[int]) -> int:
-        """Least upper bound; join of the empty set is the bottom."""
-        acc = -1
-        for x in xs:
-            acc = x if acc < 0 else self._join2(acc, x)
-        return self.bottom if acc < 0 else acc
+        """Least upper bound: the lowest bit of the AND of the up-sets.
+
+        Ids form a linear extension, so the least id of the common
+        up-set is its least element.  The join of the empty set is the
+        bottom.
+        """
+        return lowest_bit(reduce(and_, map(self.up.__getitem__, xs), self.up[self.bottom]))
 
     def meet(self, xs: Iterable[int]) -> int:
-        """Greatest lower bound; meet of the empty set is the top."""
-        acc = -1
-        for x in xs:
-            acc = x if acc < 0 else self._meet2(acc, x)
-        return self.top if acc < 0 else acc
+        """Greatest lower bound: the highest bit of the AND of the down-sets.
 
-    def _join2(self, x: int, y: int) -> int:
-        return lowest_bit(self.up[x] & self.up[y])
+        The meet of the empty set is the top.
+        """
+        return highest_bit(reduce(and_, map(self.down.__getitem__, xs), self.down[self.top]))
 
-    def _meet2(self, x: int, y: int) -> int:
-        return highest_bit(self.down[x] & self.down[y])
+    def or_below(self, seeds: Sequence[int]) -> list[int]:
+        """out[x] = OR of seeds[y] over all y <= x; one OR per cover."""
+        return _or_closure(seeds, self._cover_downs, range(self.n))
+
+    def or_above(self, seeds: Sequence[int]) -> list[int]:
+        """out[x] = OR of seeds[y] over all y >= x; one OR per cover."""
+        return _or_closure(seeds, self._cover_ups, range(self.n - 1, -1, -1))
 
     def covers_up(self, x: int) -> tuple[int, ...]:
         return self._cover_ups[x]
@@ -183,18 +185,9 @@ def build_lattice(names: Sequence[str], covers: Iterable[tuple[str, str]]) -> La
     cover_ups: list[list[int]] = [[] for _ in range(n)]
     for u, l in cover_pairs:
         cover_ups[l].append(u)
-    up = [0] * n
-    for x in range(n - 1, -1, -1):
-        mask = 1 << x
-        for u in cover_ups[x]:
-            mask |= up[u]
-        up[x] = mask
-    down = [0] * n
-    for x, lowers in enumerate(cover_downs):
-        mask = 1 << x
-        for l in lowers:
-            mask |= down[l]
-        down[x] = mask
+    own = [1 << x for x in range(n)]
+    up = _or_closure(own, cover_ups, range(n - 1, -1, -1))
+    down = _or_closure(own, cover_downs, range(n))
 
     for u, l in cover_pairs:
         if up[l] & down[u] != (1 << u) | (1 << l):
@@ -229,6 +222,25 @@ def build_lattice(names: Sequence[str], covers: Iterable[tuple[str, str]]) -> La
         _cover_ups=tuple(map(tuple, cover_ups)),
         _cover_downs=tuple(map(tuple, cover_downs)),
     )
+
+
+def _or_closure(
+    seeds: Sequence[int], links: Sequence[Sequence[int]], ids: Iterable[int]
+) -> list[int]:
+    """out[x] = seeds[x] OR the out[y] of every y in links[x], for x in ids order.
+
+    ids must reach every y in links[x] before x.  With the lower covers
+    as links and ids ascending, out[x] is the OR of the seeds of the
+    down-set of x (every y < x lies below a lower cover of x); with the
+    upper covers and ids descending, that of the up-set.
+    """
+    out = [0] * len(seeds)
+    for x in ids:
+        mask = seeds[x]
+        for y in links[x]:
+            mask |= out[y]
+        out[x] = mask
+    return out
 
 
 def _raise_first_defect(

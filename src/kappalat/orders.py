@@ -24,11 +24,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_, or_
 
 from . import _backend
-from ._bits import bits_of, lowest_bit, pick
+from ._bits import bits_of, lowest_bit
 from .errors import InternalInvariant, NotAPartialOrder, TooLarge
 from .intervals import down_jlabel, jlabel, label_tables, supersets, up_jlabel
 from .lattice import Lattice
@@ -41,14 +39,12 @@ def _check_joinands(lattice: Lattice, labeling: ArrowLabeling, x: int, rep: int)
     """The joinands in rep, in id order, once checked to represent x canonically.
 
     Raises InternalInvariant unless the joinands are join-irreducibles
-    joining to x (the lowest bit of the AND of their up-sets), an
-    antichain (up[i] & rep is i alone), and every other joinand lies
-    below kappa(i).  A few mask tests per joinand.
+    joining to x, an antichain (up[i] & rep is i alone), and every other
+    joinand lies below kappa(i).  A few mask tests per joinand.
     """
     up, names = lattice.up, lattice.names
     ids = list(bits_of(rep))
-    joined = reduce(and_, [up[i] for i in ids], up[lattice.bottom])
-    if rep & ~labeling.jirr or lowest_bit(joined) != x:
+    if rep & ~labeling.jirr or lattice.join(ids) != x:
         raise InternalInvariant(
             f"canonical joinands of {names[x]!r} are not join-irreducibles joining to it"
         )
@@ -138,8 +134,8 @@ def extended_kappa_table(lattice: Lattice, labeling: ArrowLabeling) -> tuple[int
 
     One pass over gamma gives every element's down-label mask D[x] (its
     canonical joinands, checked as in cjr) and up-label mask U[y].  The
-    image of x is the highest bit of the AND of down[kappa(j)] over j in
-    D[x], the meet of those kappa images, and must satisfy U[y] == D[x].
+    image of x is the meet of kappa(j) over j in D[x] and must satisfy
+    U[y] == D[x].
     """
     n = lattice.n
     down_labels = [0] * n
@@ -147,14 +143,11 @@ def extended_kappa_table(lattice: Lattice, labeling: ArrowLabeling) -> tuple[int
     for (upper, lower), j in labeling.gamma.items():
         down_labels[upper] |= 1 << j
         up_labels[lower] |= 1 << j
-    down_kappa = [0] * n
-    for j, m in labeling.kappa.items():
-        down_kappa[j] = lattice.down[m]
-    everything = lattice.down[lattice.top]
+    kappa = labeling.kappa
     table = []
     for x, rep in enumerate(down_labels):
         ids = _check_joinands(lattice, labeling, x, rep)
-        y = reduce(and_, [down_kappa[j] for j in ids], everything).bit_length() - 1
+        y = lattice.meet([kappa[j] for j in ids])
         _check_image(lattice, x, rep, up_labels[y])
         table.append(y)
     if sorted(table) != list(range(n)):
@@ -206,31 +199,23 @@ class OrderRelation:
 def _core_labels(lattice: Lattice, labeling: ArrowLabeling) -> tuple[list[int], ...]:
     """cores[x] = jlabel[x_down, x] for every x, with the belowj/kge tables.
 
-    x_down is the highest bit of the AND of down over x and its lower
-    covers, and cores[x] = belowj[x] & kge[x_down]: one AND per element.
+    cores[x] = belowj[x] & kge[x_down(x)]: one meet and one AND per element.
     """
     belowj, kge = label_tables(lattice, labeling, {j: 1 << j for j in bits_of(labeling.jirr)})
-    down = lattice.down
-    cores = [
-        belowj[x] & kge[reduce(and_, [down[c] for c in lowers], down[x]).bit_length() - 1]
-        for x, lowers in enumerate(lattice._cover_downs)
-    ]
+    cores = [belowj[x] & kge[x_down(lattice, x)] for x in range(lattice.n)]
     return cores, belowj, kge
 
 
 def _kappa_up(lattice: Lattice, exk: Sequence[int]) -> list[int]:
     """up_rel[x] = {y >= x | exk[y] <= exk[x]}: the kappa order's up-sets.
 
-    below[z] = {y | exk[y] <= z} comes from one bottom-up pass over the
-    lower covers with the inverse permutation; up_rel[x] is then
-    up[x] & below[exk[x]].
+    below[z] = {y | exk[y] <= z} is or_below over the bit of the inverse
+    permutation; up_rel[x] is then up[x] & below[exk[x]].
     """
     inverse = [0] * lattice.n
     for y, z in enumerate(exk):
         inverse[z] = y
-    below = [0] * lattice.n
-    for z, lowers in enumerate(lattice._cover_downs):
-        below[z] = reduce(or_, [below[c] for c in lowers], 1 << inverse[z])
+    below = lattice.or_below([1 << y for y in inverse])
     return [u & below[z] for u, z in zip(lattice.up, exk)]
 
 
@@ -264,9 +249,8 @@ def _clo_up(lattice: Lattice, cores: Sequence[int]) -> list[int]:
     Checked first: every x is the join of its core labels, on which
     posethood rests.
     """
-    up, everything = lattice.up, lattice.up[lattice.bottom]
     for x, core in enumerate(cores):
-        if lowest_bit(reduce(and_, pick(up, core), everything)) != x:
+        if lattice.join(bits_of(core)) != x:
             raise InternalInvariant(f"{lattice.names[x]!r} is not the join of its core label set")
     return supersets(cores)
 

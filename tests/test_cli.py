@@ -7,6 +7,7 @@ import pytest
 from kappalat import (
     cli,
     emit_lattice,
+    errors,
     gen_a2,
     gen_chain,
     gen_ex424,
@@ -302,3 +303,101 @@ class TestParserReuse:
         capsys.readouterr()
         assert cli_main(argv) == 0
         assert capsys.readouterr() == first
+
+
+# README's exit codes: 2 not a lattice or over a size cap, 3 not
+# semidistributive, 4 invalid query, 1 parse errors and everything else
+README_EXIT_CODES = {
+    errors.DuplicateName: 2,
+    errors.UnknownName: 2,
+    errors.CyclicCovers: 2,
+    errors.RedundantCover: 2,
+    errors.NotALattice: 2,
+    errors.NoBoundedStructure: 2,
+    errors.TooLarge: 2,
+    errors.NotAPartialOrder: 2,
+    errors.NotSemidistributive: 3,
+    errors.InvalidInterval: 4,
+    errors.NotAnArrow: 4,
+    errors.NotJoinIrreducible: 4,
+    errors.NotMeetIrreducible: 4,
+    errors.UnknownElement: 4,
+    errors.ParseError: 1,
+    errors.InternalInvariant: 1,
+    errors.LatticeError: 1,
+}
+ERROR_CLASSES = [
+    c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.LatticeError)
+]
+
+
+class _AdHocCapError(errors.TooLarge):
+    pass
+
+
+class _AdHocQueryError(errors.UnknownElement):
+    pass
+
+
+class TestExitCodes:
+    def _exit_code(self, exc_type, fig1_file, capsys, monkeypatch):
+        def fail(path):
+            raise exc_type("boom")
+
+        monkeypatch.setattr(cli, "_load", fail)
+        code = cli_main(["check", fig1_file])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: boom\n"
+        return code
+
+    @pytest.mark.parametrize("exc_type", ERROR_CLASSES, ids=lambda c: c.__name__)
+    def test_every_error_class_exits_with_readme_code(
+        self, exc_type, fig1_file, capsys, monkeypatch
+    ):
+        assert exc_type in README_EXIT_CODES, f"{exc_type.__name__} has no documented exit code"
+        code = self._exit_code(exc_type, fig1_file, capsys, monkeypatch)
+        assert code == README_EXIT_CODES[exc_type]
+
+    @pytest.mark.parametrize(
+        "exc_type, code", [(_AdHocCapError, 2), (_AdHocQueryError, 4)], ids=["cap", "query"]
+    )
+    def test_subclass_inherits_its_base_code(self, exc_type, code, fig1_file, capsys, monkeypatch):
+        assert self._exit_code(exc_type, fig1_file, capsys, monkeypatch) == code
+
+
+class TestUnreadableInputs:
+    """Unreadable input files and an unwritable output: exit 1, one error line."""
+
+    def _assert_one_error_line(self, argv, capsys):
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        return captured.err
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"elements": ["\xe9"], "covers": []}'.encode("latin-1"))
+        err = self._assert_one_error_line(["check", str(path)], capsys)
+        assert err == f"error: cannot read {path}: not UTF-8 (byte 15)\n"
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        err = self._assert_one_error_line(["check", str(path)], capsys)
+        assert err == "error: not valid JSON: nested too deeply\n"
+
+    def test_integer_past_the_conversion_limit(self, tmp_path, capsys):
+        path = tmp_path / "bigint.json"
+        path.write_text('{"elements": [' + "1" * 5000 + '], "covers": []}', encoding="utf-8")
+        err = self._assert_one_error_line(["check", str(path)], capsys)
+        assert err.startswith("error: not valid JSON: ")
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        err = self._assert_one_error_line(
+            ["gen", "--family", "fig1", "-o", str(target)], capsys
+        )
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+        assert not target.parent.exists()

@@ -1,6 +1,8 @@
 """Lattice construction, validation errors, and order queries."""
 
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from helpers import (
     small_labeled_corpus,
 )
 from kappalat import Lattice, bits_of, build_lattice, gen_a2, gen_boolean, gen_fig1
+from kappalat._bits import pick
 from kappalat.errors import (
     CyclicCovers,
     DuplicateName,
@@ -372,3 +375,24 @@ class TestInvariants:
         xs = data.draw(st.lists(st.integers(0, lat.n - 1), max_size=5))
         assert lat.join(xs) == (brute_join(lat, xs) if xs else lat.bottom)
         assert lat.meet(xs) == (brute_meet(lat, xs) if xs else lat.top)
+
+
+def _assert_or_tables(lat: Lattice, rng: random.Random) -> None:
+    """or_below/or_above against the OR of the seeds over each down-set/up-set."""
+    seeds = [rng.getrandbits(rng.choice((1, 8, 70))) for _ in range(lat.n)]
+    below, above = lat.or_below(seeds), lat.or_above(seeds)
+    for x in range(lat.n):
+        assert below[x] == reduce(or_, pick(seeds, lat.down[x]), 0)
+        assert above[x] == reduce(or_, pick(seeds, lat.up[x]), 0)
+
+
+class TestOrTables:
+    def test_corpus(self):
+        rng = random.Random(11)
+        for _, lat in corpus():
+            _assert_or_tables(lat, rng)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lattices(), st.randoms(use_true_random=False))
+    def test_random_lattices(self, order, rng):
+        _assert_or_tables(build(*order), rng)
