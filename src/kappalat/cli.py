@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from collections.abc import Sequence
 from pathlib import Path
@@ -25,7 +26,6 @@ from .errors import (
     NoBoundedStructure,
     NotALattice,
     NotAnArrow,
-    NotAPartialOrder,
     NotJoinIrreducible,
     NotMeetIrreducible,
     NotSemidistributive,
@@ -47,7 +47,6 @@ _EXIT_CODES = {
     NotALattice: 2,
     NoBoundedStructure: 2,
     TooLarge: 2,
-    NotAPartialOrder: 2,
     NotSemidistributive: 3,
     InvalidInterval: 4,
     NotAnArrow: 4,
@@ -165,21 +164,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print("orders coincide: yes")
     else:
         x, y = mismatch
+        pair = f"{lat.names[x]}, {lat.names[y]}"
         print("orders coincide: no")
-        print(f"witness: ({lat.names[x]}, {lat.names[y]})")
-        print(
-            f"  clo_leq({lat.names[x]}, {lat.names[y]}) = "
-            f"{orders_mod.clo_leq(lat, lab, x, y)}"
-        )
-        print(
-            f"  kappa_leq({lat.names[x]}, {lat.names[y]}) = "
-            f"{orders_mod.kappa_leq(lat, lab, x, y)}"
-        )
+        print(f"witness: ({pair})")
+        print(f"  clo_leq({pair}) = {orders_mod.clo_leq(lat, lab, x, y)}")
+        print(f"  kappa_leq({pair}) = {orders_mod.kappa_leq(lat, lab, x, y)}")
     if failures:
-        print(
-            "sufficient condition: fails at "
-            + ", ".join(lat.names[x] for x in failures)
-        )
+        print("sufficient condition: fails at " + ", ".join(lat.names[x] for x in failures))
     else:
         print("sufficient condition: holds")
     return 0
@@ -271,4 +262,10 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main(sys.argv[1:]))
+    code = 0  # also when the reader closes stdout early, which is no error
+    try:
+        code = cli_main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # fd 1 goes to devnull so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

@@ -61,10 +61,6 @@ class InvalidInterval(LatticeError):
     """The pair (lower, upper) does not satisfy lower <= upper."""
 
 
-class NotAPartialOrder(LatticeError):
-    """A derived relation failed antisymmetry; indicates an internal bug."""
-
-
 class InternalInvariant(LatticeError):
     """A computed result broke an identity the theory guarantees; indicates a bug.
 

@@ -64,6 +64,10 @@ def parse_document(text: str) -> tuple[Lattice, dict[str, str] | None]:
         or not all(isinstance(k, str) and isinstance(v, str) for k, v in meta.items())
     ):
         raise ParseError('"meta" must be a string-to-string map')
+    try:  # one encode of every string output may echo; a lone surrogate cannot be written
+        "".join(chain(elements, *(meta or {}).items())).encode()
+    except UnicodeEncodeError:
+        raise ParseError("names and meta strings must not hold lone surrogates") from None
     return build_lattice(elements, covers), meta
 
 

@@ -11,11 +11,12 @@ and this module also evaluates the sufficient condition separating the
 two situations.
 
 The whole-lattice functions (extended_kappa_table, order_poset,
-compare_orders) read everything off per-lattice tables built by
-passes over the covers: each element's down- and up-arrow label masks
-(one pass over gamma), the interval label halves belowj/kge
-(intervals.label_tables), and the down-set of extended-kappa images.
-Each order quantity then costs a few mask operations per element.  The
+compare_orders) read everything off per-lattice tables built by passes
+over the covers: each element's down- and up-arrow label masks (one pass
+over gamma), the interval label halves belowj/kge (intervals.label_tables)
+and the down-set of extended-kappa images.  Each order quantity then
+costs a few mask operations per element; both orders refine the lattice
+order, so they are partial orders with no check (see order_poset).  The
 single-element functions (cjr, extended_kappa, core_label, kappa_leq,
 clo_leq) compute from the definitions and serve as their oracle.
 """
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 from . import _backend
 from ._bits import bits_of, lowest_bit
-from .errors import InternalInvariant, NotAPartialOrder, TooLarge
+from .errors import InternalInvariant, TooLarge
 from .intervals import down_jlabel, jlabel, label_tables, supersets, up_jlabel
 from .lattice import Lattice
 from .labeling import ArrowLabeling
@@ -135,7 +136,8 @@ def extended_kappa_table(lattice: Lattice, labeling: ArrowLabeling) -> tuple[int
     One pass over gamma gives every element's down-label mask D[x] (its
     canonical joinands, checked as in cjr) and up-label mask U[y].  The
     image of x is the meet of kappa(j) over j in D[x] and must satisfy
-    U[y] == D[x].
+    U[y] == D[x].  So the table is a permutation: exk(x1) = exk(x2) gives
+    D[x1] = D[x2], and x = join(D[x]) gives x1 = x2.
     """
     n = lattice.n
     down_labels = [0] * n
@@ -150,8 +152,6 @@ def extended_kappa_table(lattice: Lattice, labeling: ArrowLabeling) -> tuple[int
         y = lattice.meet([kappa[j] for j in ids])
         _check_image(lattice, x, rep, up_labels[y])
         table.append(y)
-    if sorted(table) != list(range(n)):
-        raise InternalInvariant("extended kappa is not a permutation of the lattice")
     return tuple(table)
 
 
@@ -219,35 +219,11 @@ def _kappa_up(lattice: Lattice, exk: Sequence[int]) -> list[int]:
     return [u & below[z] for u, z in zip(lattice.up, exk)]
 
 
-def _check_antisymmetric(lattice: Lattice, kind: str, up_rel: Sequence[int]) -> None:
-    """Raise NotAPartialOrder naming the first pair related both ways.
-
-    Certificate first: a relation whose every up_rel[x] holds x and lies
-    inside lattice.up[x] refines the lattice order, so it is reflexive
-    and antisymmetric.  Only when that fails is the relation transposed
-    to find and name the pair.
-    """
-    if all((r >> x) & 1 and not (r & ~u) for x, (r, u) in enumerate(zip(up_rel, lattice.up))):
-        return
-    n = lattice.n
-    down_rel = [0] * n
-    for x in range(n):
-        for y in bits_of(up_rel[x]):
-            down_rel[y] |= 1 << x
-    for x in range(n):
-        if up_rel[x] & down_rel[x] != 1 << x:
-            other = next(y for y in bits_of(up_rel[x] & down_rel[x]) if y != x)
-            raise NotAPartialOrder(
-                f"{kind} relation not antisymmetric on "
-                f"({lattice.names[x]!r}, {lattice.names[other]!r})"
-            )
-
-
 def _clo_up(lattice: Lattice, cores: Sequence[int]) -> list[int]:
     """up_rel[x] = {y | cores[x] within cores[y]}: the core label order's up-sets.
 
     Checked first: every x is the join of its core labels, on which
-    posethood rests.
+    posethood rests (see order_poset).
     """
     for x, core in enumerate(cores):
         if lattice.join(bits_of(core)) != x:
@@ -264,11 +240,11 @@ def order_poset(lattice: Lattice, labeling: ArrowLabeling, kind: str) -> OrderRe
     belowj[x] & kge[x_down] (see intervals.label_tables), after checking
     that every x is the join of its core labels.
 
-    Both relations refine the lattice order: kappa by construction, clo
-    because cores[x] within cores[y] gives x = join(cores[x]) <= y.  That
-    refinement is the antisymmetry certificate, checked with two mask
-    tests per element; the relation is transposed to name a failing pair
-    only when the certificate fails.
+    Both relations refine the lattice order, hence are partial orders:
+    kappa's up[x] & below[exk[x]] holds x as exk is a permutation; for
+    clo, cores[x] within cores[y] gives x = join(cores[x]) <= y.  Wrong
+    kappa or core labels would still give a refinement, so only the
+    InternalInvariant raises, not an antisymmetry check, catch them.
     """
     if kind not in ORDER_KINDS:
         raise ValueError(f"kind must be one of {ORDER_KINDS}, got {kind!r}")
@@ -276,7 +252,6 @@ def order_poset(lattice: Lattice, labeling: ArrowLabeling, kind: str) -> OrderRe
         up_rel = _kappa_up(lattice, extended_kappa_table(lattice, labeling))
     else:
         up_rel = _clo_up(lattice, _core_labels(lattice, labeling)[0])
-    _check_antisymmetric(lattice, kind, up_rel)
     # both orders refine the lattice order, whose ids form a linear extension
     hasse = _backend.transitive_reduction(lattice.n, up_rel)
     return OrderRelation(kind=kind, up=tuple(up_rel), hasse=tuple(hasse))
@@ -287,10 +262,10 @@ def compare_orders(
 ) -> tuple[tuple[int, int] | None, tuple[int, ...]]:
     """(first_order_mismatch, sufficiency_failures) off one set of tables.
 
-    One extended_kappa_table and one _core_labels serve both answers, and
-    the two orders are compared on their up-sets, so no Hasse diagram is
-    built.  The checks run in the order order_poset runs them for kappa
-    and then for clo, so the same error is raised first.
+    One extended_kappa_table and one _core_labels serve both answers; the
+    orders are compared on their up-sets, with no Hasse diagram and (see
+    order_poset) no antisymmetry check.  The checks run as order_poset
+    runs them for kappa and then clo, so the same error is raised first.
 
     The mismatch is the first pair (x, y) in lex id order on which the two
     orders disagree.  The sufficient condition for them to coincide asks,
@@ -301,10 +276,8 @@ def compare_orders(
     """
     exk = extended_kappa_table(lattice, labeling)
     by_kappa = _kappa_up(lattice, exk)
-    _check_antisymmetric(lattice, "kappa", by_kappa)
     cores, belowj, kge = _core_labels(lattice, labeling)
     by_clo = _clo_up(lattice, cores)
-    _check_antisymmetric(lattice, "clo", by_clo)
     mismatch = next(
         ((x, lowest_bit(k ^ c)) for x, (k, c) in enumerate(zip(by_kappa, by_clo)) if k != c),
         None,

@@ -270,16 +270,6 @@ def jirr_sufficiency_failures(lattice: Lattice, labeling) -> tuple[int, ...]:
     return tuple(failures)
 
 
-def first_two_way_pair(up_rel) -> tuple[int, int] | None:
-    """First x in id order related both ways to some y != x, with the least such y."""
-    n = len(up_rel)
-    for x in range(n):
-        for y in range(n):
-            if y != x and (up_rel[x] >> y) & 1 and (up_rel[y] >> x) & 1:
-                return (x, y)
-    return None
-
-
 def first_input_defect(names, covers) -> tuple[type, str] | None:
     """The first defect of a document's names and covers, item by item.
 

@@ -1,9 +1,14 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kappalat
 from kappalat import (
     cli,
     emit_lattice,
@@ -12,6 +17,7 @@ from kappalat import (
     gen_chain,
     gen_ex424,
     gen_fig1,
+    gen_weak_dihedral,
     intervals,
     parse_lattice,
 )
@@ -83,9 +89,6 @@ class TestLabels:
         assert out.startswith("digraph") and out.count("label=") == 18
 
     def test_console_entry_point(self):
-        import subprocess
-        import sys
-
         proc = subprocess.run(
             [sys.executable, "-m", "kappalat", "gen", "--family", "a2"],
             capture_output=True,
@@ -315,7 +318,6 @@ README_EXIT_CODES = {
     errors.NotALattice: 2,
     errors.NoBoundedStructure: 2,
     errors.TooLarge: 2,
-    errors.NotAPartialOrder: 2,
     errors.NotSemidistributive: 3,
     errors.InvalidInterval: 4,
     errors.NotAnArrow: 4,
@@ -401,3 +403,47 @@ class TestUnreadableInputs:
         )
         assert err == f"error: cannot write {target}: No such file or directory\n"
         assert not target.parent.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check"],
+            ["labels"],
+            ["labels", "--dot"],
+            ["jlabel", "--lower", "a", "--upper", "a"],
+            ["posets", "--kind", "all"],
+            ["cjr"],
+            ["orders", "--kind", "kappa"],
+            ["compare"],
+        ],
+        ids=["check", "labels", "labels-dot", "jlabel", "posets", "cjr", "orders", "compare"],
+    )
+    def test_lone_surrogate_in_a_name(self, argv, tmp_path, capsys):
+        # valid JSON, but the name cannot be written to a UTF-8 stdout
+        path = tmp_path / "surrogate.json"
+        path.write_text('{"elements": ["a\\ud800"], "covers": []}', encoding="utf-8")
+        err = self._assert_one_error_line([argv[0], str(path), *argv[1:]], capsys)
+        assert err == "error: names and meta strings must not hold lone surrogates\n"
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early: exit 0 and nothing on stderr."""
+
+    @pytest.mark.parametrize("argv", [["cjr"], ["posets", "--kind", "wide"]], ids=["cjr", "posets"])
+    def test_exit_0_and_quiet(self, argv, tmp_path):
+        # both outputs (about 190 and 440 kB) outgrow a pipe buffer, so the
+        # command is still writing when the reader closes its end
+        path = tmp_path / "weak_dihedral300.json"
+        path.write_text(emit_lattice(gen_weak_dihedral(300)), encoding="utf-8")
+        src = str(Path(kappalat.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "kappalat", argv[0], str(path), *argv[1:]],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (0, b"")

@@ -89,6 +89,7 @@ class TestParse:
         elements = '"elements" must be a list of strings'
         covers = '"covers" must be a list of [upper, lower] string pairs'
         meta = '"meta" must be a string-to-string map'
+        surrogate = "names and meta strings must not hold lone surrogates"
         for doc, message in (
             ('{"covers": []}', elements),
             ('{"elements": null, "covers": []}', elements),
@@ -105,12 +106,25 @@ class TestParse:
             ('{"elements": ["a", "b"], "covers": [["a", ["b"]]]}', covers),
             ('{"elements": ["a", "b"], "covers": [["a", null]]}', covers),
             ('{"elements": ["a"], "covers": [], "meta": {"k": 1}}', meta),
+            ('{"elements": ["a\\ud800"], "covers": []}', surrogate),
+            ('{"elements": ["a", "\\udc00b"], "covers": []}', surrogate),
+            ('{"elements": ["a"], "covers": [], "meta": {"\\ud83d": "v"}}', surrogate),
+            ('{"elements": ["a"], "covers": [], "meta": {"k": "\\ude00"}}', surrogate),
             ('{"elements": ["a"], "covers": [], "other": 1}', "unknown keys: other"),
             ("[]", "top-level value must be an object"),
         ):
             with pytest.raises(ParseError) as info:
                 parse_document(doc)
             assert str(info.value) == message, doc
+
+    def test_escaped_surrogate_pair_parses(self):
+        # a high and a low escape in order are one astral character
+        lat, meta = parse_document(
+            '{"elements": ["\\ud83d\\ude00"], "covers": [], "meta": {"k": "\\ud83d\\ude00"}}'
+        )
+        assert lat.names == ("\U0001F600",) and meta == {"k": "\U0001F600"}
+        again, again_meta = parse_document(emit_lattice(lat, meta))
+        assert again.names == lat.names and again_meta == meta
 
     def test_meta_round_trip(self):
         lat = gen_chain(3)

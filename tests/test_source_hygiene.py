@@ -1,19 +1,25 @@
-"""Source checks that need no linter: every imported name is used.
+"""Source checks that need no linter, each made on the package's ``ast``.
 
-Each module of the package except ``__init__.py`` (whose imports are its
-public re-exports) is parsed with ``ast``.  A name bound by an import
-statement must occur as a name somewhere else in the module; an
-attribute access such as ``heapq.heappush`` counts as a use of
-``heapq``.
+- Every imported name is used.  Each module except ``__init__.py`` (whose
+  imports are its public re-exports) is checked: a name bound by an
+  import statement must occur as a name somewhere else in the module; an
+  attribute access such as ``heapq.heappush`` counts as a use of
+  ``heapq``.
+- No module holds an ``assert``, so every check also runs under
+  ``python -O``.
+- Every error class of ``errors.py`` but the base ``LatticeError`` is
+  named in a ``raise`` in some other module, so no error class is dead.
 """
 
 import ast
+from collections.abc import Iterable
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kappalat"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,6 +37,26 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def asserts(source: str) -> list[int]:
+    """Line numbers of the module's assert statements."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def unraised_errors(errors_source: str, sources: Iterable[str]) -> list[str]:
+    """Classes of errors_source, bar LatticeError, that no raise in sources names."""
+    raised = {
+        name.id
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Raise) and node.exc is not None
+        for name in ast.walk(node.exc)
+        if isinstance(name, ast.Name)
+    }
+    tree = ast.parse(errors_source)
+    classes = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+    return [c for c in classes if c != "LatticeError" and c not in raised]
+
+
 def test_modules_found():
     assert {"lattice.py", "cli.py", "_backend.py"} <= {p.name for p in MODULES}
 
@@ -43,3 +69,27 @@ def test_no_unused_imports(path):
 def test_unused_import_is_reported():
     source = "from ._bits import bits_of, lowest_bit\nimport heapq\n\nx = list(bits_of(5))\n"
     assert unused_imports(source) == ["lowest_bit (line 1)", "heapq (line 2)"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_asserts(path):
+    assert asserts(path.read_text(encoding="utf-8")) == []
+
+
+def test_assert_is_reported():
+    assert asserts("x = 1\nassert x, 'message'\n") == [2]
+
+
+def test_every_error_class_is_raised():
+    others = [p.read_text(encoding="utf-8") for p in MODULES if p.name != "errors.py"]
+    assert unraised_errors((PACKAGE / "errors.py").read_text(encoding="utf-8"), others) == []
+
+
+def test_unraised_error_is_reported():
+    errors_source = (
+        "class LatticeError(Exception):\n    pass\n\n"
+        "class Used(LatticeError):\n    pass\n\n"
+        "class Dead(LatticeError):\n    pass\n"
+    )
+    user = "def f():\n    raise Used('x') from None\n\nclass G:\n    dead = Dead\n"
+    assert unraised_errors(errors_source, [user]) == ["Dead"]
