@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Subcommands: check, labels, jlabel, posets, cjr, orders, compare, gen.
-Exit codes: 0 success, 1 usage or parse error, 2 input is not a lattice,
-3 lattice is not semidistributive, 4 invalid query (bad element or
-interval).  Output is deterministic byte-for-byte across runs.
+Exit codes: 0 success, 1 usage error, otherwise the exit_code of the
+error class raised (see kappalat.errors).  Output is deterministic
+byte-for-byte across runs.
 """
 
 from __future__ import annotations
@@ -18,42 +18,8 @@ from pathlib import Path
 from . import generators, intervals, io, labeling
 from . import orders as orders_mod
 from ._bits import bits_of
-from .errors import (
-    CyclicCovers,
-    DuplicateName,
-    InvalidInterval,
-    LatticeError,
-    NoBoundedStructure,
-    NotALattice,
-    NotAnArrow,
-    NotJoinIrreducible,
-    NotMeetIrreducible,
-    NotSemidistributive,
-    ParseError,
-    RedundantCover,
-    TooLarge,
-    UnknownElement,
-    UnknownName,
-)
+from .errors import LatticeError, NotSemidistributive, ParseError
 from .lattice import Lattice
-
-# Exit code of an error: that of the first class of its MRO listed here.
-# Anything else (usage, parse and internal errors) exits 1.
-_EXIT_CODES = {
-    DuplicateName: 2,
-    UnknownName: 2,
-    CyclicCovers: 2,
-    RedundantCover: 2,
-    NotALattice: 2,
-    NoBoundedStructure: 2,
-    TooLarge: 2,
-    NotSemidistributive: 3,
-    InvalidInterval: 4,
-    NotAnArrow: 4,
-    NotJoinIrreducible: 4,
-    NotMeetIrreducible: 4,
-    UnknownElement: 4,
-}
 
 
 class _UsageError(Exception):
@@ -258,7 +224,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (_UsageError, LatticeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next((_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES), 1)
+        return getattr(exc, "exit_code", 1)
 
 
 def main() -> None:

@@ -115,13 +115,9 @@ def gen_boolean(n: int) -> Lattice:
     """Boolean lattice of subsets of an n-set, named by membership bitstrings."""
     if not 1 <= n <= BOOLEAN_CAP:
         raise TooLarge(f"boolean rank must be in 1..{BOOLEAN_CAP}, got {n}")
-
-    def name(s: int) -> str:
-        return "".join("1" if (s >> i) & 1 else "0" for i in range(n))
-
-    names = [name(s) for s in range(1 << n)]
+    names = ["".join("1" if (s >> i) & 1 else "0" for i in range(n)) for s in range(1 << n)]
     covers = [
-        (name(s), name(s & ~(1 << i)))
+        (names[s], names[s & ~(1 << i)])
         for s in range(1 << n)
         for i in range(n)
         if (s >> i) & 1

@@ -84,24 +84,24 @@ def jlabel_scan(lattice: Lattice, labeling: ArrowLabeling, iv: Interval) -> int:
 
 def down_jlabel(lattice: Lattice, labeling: ArrowLabeling, x: int) -> int:
     """Labels of the arrows starting at x (one per lower cover)."""
-    return mask_of(labeling.gamma[(x, y)] for y in lattice.covers_down(x))
+    return mask_of(labeling.gamma[(x, y)] for y in lattice.cover_downs[x])
 
 
 def up_jlabel(lattice: Lattice, labeling: ArrowLabeling, x: int) -> int:
     """Labels of the arrows ending at x (one per upper cover)."""
-    return mask_of(labeling.gamma[(u, x)] for u in lattice.covers_up(x))
+    return mask_of(labeling.gamma[(u, x)] for u in lattice.cover_ups[x])
 
 
 def is_wide_interval(lattice: Lattice, iv: Interval) -> bool:
     """b equals a joined with all covers of a that stay below b."""
     a, b = lattice.check_interval(iv)
-    return lattice.join([a, *(c for c in lattice.covers_up(a) if lattice.leq(c, b))]) == b
+    return lattice.join([a, *(c for c in lattice.cover_ups[a] if lattice.leq(c, b))]) == b
 
 
 def is_ice_interval(lattice: Lattice, iv: Interval) -> bool:
     """b lies below a joined with all covers of a (unfiltered)."""
     a, b = lattice.check_interval(iv)
-    return lattice.leq(b, lattice.join((a, *lattice.covers_up(a))))
+    return lattice.leq(b, lattice.join((a, *lattice.cover_ups[a])))
 
 
 def interval_tops(lattice: Lattice, kind: str) -> Sequence[int]:
@@ -130,14 +130,14 @@ def interval_tops(lattice: Lattice, kind: str) -> Sequence[int]:
         down = lattice.down
         tops = [
             up[a] & down[lattice.join((a, *uppers))]
-            for a, uppers in enumerate(lattice._cover_ups)
+            for a, uppers in enumerate(lattice.cover_ups)
         ]
         if sum(t.bit_count() for t in tops) > MAX_INTERVALS:
             raise _too_many(kind)
         return tops
     tops = []
     total = 0
-    for a, uppers in enumerate(lattice._cover_ups):
+    for a, uppers in enumerate(lattice.cover_ups):
         reached = 1 << a
         for c in uppers:
             uc = up[c]

@@ -165,10 +165,6 @@ def emit_dot(
     return _digraph("lattice", statements)
 
 
-def member_name(lattice: Lattice, mask: int) -> str:
-    return "{" + ",".join(pick(lattice.names, mask)) + "}"
-
-
 def family_document(lattice: Lattice, family: SetFamilyPoset) -> dict[str, Any]:
     return {
         "kind": family.kind,
@@ -192,7 +188,15 @@ def emit_family_json(lattice: Lattice, family: SetFamilyPoset) -> str:
 
 
 def emit_family_dot(lattice: Lattice, family: SetFamilyPoset) -> str:
-    nodes = [_quote(member_name(lattice, m)) for m in family.members]
+    """Poset of label sets as DOT; a member's node is named "{name,name,...}".
+
+    Inside a member name an element name is written as-is unless it is
+    empty or holds ',' or '"'; such a name is written JSON-quoted.  Bare
+    names then hold no comma and no quote, so each node name stands for
+    exactly one set.
+    """
+    parts = [encode_basestring(s) if not s or "," in s or '"' in s else s for s in lattice.names]
+    nodes = [_quote("{" + ",".join(pick(parts, m)) + "}") for m in family.members]
     edges = (f"{nodes[u]} -> {nodes[l]}" for u, l in family.hasse)
     return _digraph("labelsets", chain(nodes, edges))
 

@@ -53,17 +53,17 @@ def is_semidistributive(lattice: Lattice) -> bool:
 
 def join_irreducibles(lattice: Lattice) -> int:
     """Bitmask of elements x with star_down(x) != x (exactly one lower cover)."""
-    return mask_of(x for x, lowers in enumerate(lattice._cover_downs) if len(lowers) == 1)
+    return mask_of(x for x, lowers in enumerate(lattice.cover_downs) if len(lowers) == 1)
 
 
 def meet_irreducibles(lattice: Lattice) -> int:
     """Bitmask of elements x with star_up(x) != x (exactly one upper cover)."""
-    return mask_of(x for x, uppers in enumerate(lattice._cover_ups) if len(uppers) == 1)
+    return mask_of(x for x, uppers in enumerate(lattice.cover_ups) if len(uppers) == 1)
 
 
 def _require_arrow(lattice: Lattice, arrow: tuple[int, int]) -> None:
     upper, lower = arrow
-    if lower not in lattice.covers_down(upper):
+    if lower not in lattice.cover_downs[upper]:
         raise NotAnArrow(
             f"{lattice.names[upper]!r} does not cover {lattice.names[lower]!r}"
         )
@@ -83,7 +83,7 @@ def join_label(lattice: Lattice, arrow: tuple[int, int]) -> int:
         raise NotSemidistributive(
             f"{{x | {lattice.names[lower]} v x = {lattice.names[upper]}}} has no minimum"
         )
-    if lattice.meet((lower, j)) != lattice.star_down(j) or len(lattice.covers_down(j)) != 1:
+    if lattice.meet((lower, j)) != lattice.star_down(j) or len(lattice.cover_downs[j]) != 1:
         raise InternalInvariant(
             f"join label {lattice.names[j]!r} of {lattice.names[upper]!r} -> "
             f"{lattice.names[lower]!r} is not a join-irreducible meeting lower in its star"
@@ -100,7 +100,7 @@ def meet_label(lattice: Lattice, arrow: tuple[int, int]) -> int:
         raise NotSemidistributive(
             f"{{x | {lattice.names[upper]} ^ x = {lattice.names[lower]}}} has no maximum"
         )
-    if lattice.join((upper, m)) != lattice.star_up(m) or len(lattice.covers_up(m)) != 1:
+    if lattice.join((upper, m)) != lattice.star_up(m) or len(lattice.cover_ups[m]) != 1:
         raise InternalInvariant(
             f"meet label {lattice.names[m]!r} of {lattice.names[upper]!r} -> "
             f"{lattice.names[lower]!r} is not a meet-irreducible joining upper to its star"
@@ -110,7 +110,7 @@ def meet_label(lattice: Lattice, arrow: tuple[int, int]) -> int:
 
 def kappa(lattice: Lattice, j: int) -> int:
     """max {x | j ^ x = star_down(j)} for a completely join-irreducible j."""
-    downs = lattice.covers_down(j)
+    downs = lattice.cover_downs[j]
     if len(downs) != 1:
         raise NotJoinIrreducible(f"{lattice.names[j]!r} is not completely join-irreducible")
     return meet_label(lattice, (j, downs[0]))
@@ -118,7 +118,7 @@ def kappa(lattice: Lattice, j: int) -> int:
 
 def kappa_dual(lattice: Lattice, m: int) -> int:
     """min {x | m v x = star_up(m)} for a completely meet-irreducible m."""
-    ups = lattice.covers_up(m)
+    ups = lattice.cover_ups[m]
     if len(ups) != 1:
         raise NotMeetIrreducible(f"{lattice.names[m]!r} is not completely meet-irreducible")
     return join_label(lattice, (ups[0], m))
@@ -166,7 +166,7 @@ def full_labeling(lattice: Lattice) -> ArrowLabeling:
     gamma = dict(zip(covers, gamma_list))
     mu = dict(zip(covers, mu_list))
 
-    cover_ups, cover_downs = lattice._cover_ups, lattice._cover_downs
+    cover_ups, cover_downs = lattice.cover_ups, lattice.cover_downs
     jirr = join_irreducibles(lattice)
     mirr = meet_irreducibles(lattice)
     kappa_table = {j: mu[(j, cover_downs[j][0])] for j in bits_of(jirr)}

@@ -42,8 +42,10 @@ class Lattice:
 
     up[x] / down[x] are bitmasks of {y | x <= y} / {y | y <= x}, both
     including x itself.  covers holds (upper, lower) id pairs and is
-    exactly the transitive reduction of the order.  Ids form a linear
-    extension: x < y in the lattice implies id(x) < id(y).
+    exactly the transitive reduction of the order; cover_ups[x] /
+    cover_downs[x] are the upper / lower covers of x in ascending id
+    order.  Ids form a linear extension: x < y in the lattice implies
+    id(x) < id(y).
     """
 
     names: tuple[str, ...]
@@ -53,8 +55,8 @@ class Lattice:
     bottom: int
     top: int
     _index: dict[str, int] = field(repr=False, compare=False)
-    _cover_ups: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
-    _cover_downs: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+    cover_ups: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+    cover_downs: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -87,17 +89,11 @@ class Lattice:
 
     def or_below(self, seeds: Sequence[int]) -> list[int]:
         """out[x] = OR of seeds[y] over all y <= x; one OR per cover."""
-        return _or_closure(seeds, self._cover_downs, range(self.n))
+        return _or_closure(seeds, self.cover_downs, range(self.n))
 
     def or_above(self, seeds: Sequence[int]) -> list[int]:
         """out[x] = OR of seeds[y] over all y >= x; one OR per cover."""
-        return _or_closure(seeds, self._cover_ups, range(self.n - 1, -1, -1))
-
-    def covers_up(self, x: int) -> tuple[int, ...]:
-        return self._cover_ups[x]
-
-    def covers_down(self, x: int) -> tuple[int, ...]:
-        return self._cover_downs[x]
+        return _or_closure(seeds, self.cover_ups, range(self.n - 1, -1, -1))
 
     def intervals(self) -> Iterable[Interval]:
         """All pairs (a, b) with a <= b, in lex (a, b) order."""
@@ -119,11 +115,11 @@ class Lattice:
 
     def star_down(self, x: int) -> int:
         """Join of everything strictly below x (its lower covers suffice)."""
-        return self.join(self._cover_downs[x])
+        return self.join(self.cover_downs[x])
 
     def star_up(self, x: int) -> int:
         """Meet of everything strictly above x (its upper covers suffice)."""
-        return self.meet(self._cover_ups[x])
+        return self.meet(self.cover_ups[x])
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Lattice({self.n} elements, {len(self.covers)} covers)"
@@ -219,8 +215,8 @@ def build_lattice(names: Sequence[str], covers: Iterable[tuple[str, str]]) -> La
         bottom=bottom,
         top=top,
         _index=index,
-        _cover_ups=tuple(map(tuple, cover_ups)),
-        _cover_downs=tuple(map(tuple, cover_downs)),
+        cover_ups=tuple(map(tuple, cover_ups)),
+        cover_downs=tuple(map(tuple, cover_downs)),
     )
 
 
@@ -290,6 +286,5 @@ def _topological_order(n: int, cover_pairs: list[tuple[int, int]]) -> list[int]:
             if pending[u] == 0:
                 heapq.heappush(ready, u)
     if len(order) != n:
-        stuck = sorted(set(range(n)) - set(order))
-        raise CyclicCovers(f"cover digraph has a cycle through {len(stuck)} elements")
+        raise CyclicCovers(f"cover digraph has a cycle through {n - len(order)} elements")
     return order

@@ -105,7 +105,7 @@ def gorbunov_check(lattice: Lattice, x: int) -> bool:
     cross-validation oracle.
     """
     reach = 0
-    for c in lattice.covers_down(x):
+    for c in lattice.cover_downs[x]:
         reach |= lattice.down[c]
     strict = lattice.down[x] ^ (1 << x)
     return strict & ~reach == 0
@@ -157,7 +157,7 @@ def extended_kappa_table(lattice: Lattice, labeling: ArrowLabeling) -> tuple[int
 
 def x_down(lattice: Lattice, x: int) -> int:
     """x meeted with all its lower covers (the lower end of the core interval)."""
-    return lattice.meet((x, *lattice.covers_down(x)))
+    return lattice.meet((x, *lattice.cover_downs[x]))
 
 
 def core_label(lattice: Lattice, labeling: ArrowLabeling, x: int) -> int:

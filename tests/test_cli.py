@@ -132,6 +132,24 @@ class TestPosets:
         assert out.startswith("digraph")
         assert '"{}"' in out
 
+    def test_dot_nodes_of_names_with_commas_stay_apart(self, tmp_path, capsys):
+        # {a, b} and {"a,b"} are both wide label sets of this SD lattice
+        doc = {
+            "elements": ["0", "a", "b", "a,b", "ab", "aX", "bX", "1"],
+            "covers": [
+                ["a", "0"], ["b", "0"], ["a,b", "0"], ["ab", "a"], ["ab", "b"],
+                ["aX", "a"], ["aX", "a,b"], ["bX", "b"], ["bX", "a,b"],
+                ["1", "ab"], ["1", "aX"], ["1", "bX"],
+            ],
+        }
+        path = tmp_path / "comma.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli_main(["posets", str(path), "--kind", "wide", "--format", "dot"]) == 0
+        nodes = [line for line in capsys.readouterr().out.splitlines()[2:-1] if "->" not in line]
+        assert len(nodes) == len(set(nodes)) == 8
+        assert '  "{a,b}";' in nodes
+        assert '  "{\\"a,b\\"}";' in nodes
+
 
 class TestPosetCaps:
     @pytest.fixture

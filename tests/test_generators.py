@@ -79,7 +79,7 @@ class TestParametricFamilies:
     def test_boolean(self):
         diamond = gen_boolean(2)
         assert diamond.n == 4
-        assert len(diamond.covers_up(diamond.bottom)) == 2
+        assert len(diamond.cover_ups[diamond.bottom]) == 2
         cube = gen_boolean(3)
         assert cube.n == 8 and len(cube.covers) == 12
 
@@ -115,8 +115,8 @@ class TestParametricFamilies:
     def test_dihedral_structure(self):
         lat = gen_weak_dihedral(9)
         assert lat.n == 18
-        assert len(lat.covers_up(lat.bottom)) == 2
-        assert len(lat.covers_down(lat.top)) == 2
+        assert len(lat.cover_ups[lat.bottom]) == 2
+        assert len(lat.cover_downs[lat.top]) == 2
         assert is_semidistributive(lat)
 
     def test_caps(self):

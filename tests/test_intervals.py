@@ -312,12 +312,12 @@ class TestArrowBridge:
                 for x in bits_of(lat.down[m]):
                     upper = lat.join([x, j])
                     lower = lat.meet([upper, m])
-                    assert lower in lat.covers_down(upper)
+                    assert lower in lat.cover_downs[upper]
                     assert lab.gamma[(upper, lower)] == j
 
     def test_down_labels_match_cover_scan(self):
         for _, lat, lab in small_labeled_corpus(40):
             for x in range(lat.n):
                 assert down_jlabel(lat, lab, x) == mask_of(
-                    lab.gamma[(x, y)] for y in lat.covers_down(x)
+                    lab.gamma[(x, y)] for y in lat.cover_downs[x]
                 )

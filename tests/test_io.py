@@ -236,11 +236,16 @@ def _old_quote(name):
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _member_part(name):
+    """An element name inside a member name: JSON-quoted if empty or holding , or "."""
+    return json.dumps(name, ensure_ascii=False) if name == "" or set(name) & {",", '"'} else name
+
+
 def _old_family_dot(lat, fam):
     """Reference composition: renders a member's name for every node and edge end."""
 
     def name(mask):
-        return _old_quote("{" + ",".join(lat.names[j] for j in bits_of(mask)) + "}")
+        return _old_quote("{" + ",".join(_member_part(lat.names[j]) for j in bits_of(mask)) + "}")
 
     lines = ["digraph labelsets {", "  rankdir=TB;"]
     lines += [f"  {name(m)};" for m in fam.members]
@@ -276,3 +281,14 @@ class TestDotWriters:
         lat = gen_fig1()
         fam = SetFamilyPoset(kind="wide", members=(), hasse=(), witnesses=())
         assert emit_family_dot(lat, fam) == _old_family_dot(lat, fam)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(NAMES, min_size=1, max_size=6, unique=True))
+    def test_distinct_members_get_distinct_nodes(self, names):
+        lat = build_lattice(names, list(zip(names[1:], names)))
+        # one emit per set, since a name may hold the newline that ends a statement
+        nodes = {
+            emit_family_dot(lat, SetFamilyPoset(kind="all", members=(m,), hasse=(), witnesses=()))
+            for m in range(1 << lat.n)
+        }
+        assert len(nodes) == 1 << lat.n

@@ -268,10 +268,10 @@ class TestQueries:
 
     def test_covers_queries(self):
         lat = chain3()
-        assert lat.covers_down(lat.top) == (lat.id_of("a"),)
+        assert lat.cover_downs[lat.top] == (lat.id_of("a"),)
         fig = gen_fig1()
-        assert {fig.names[x] for x in fig.covers_down(fig.id_of("2*"))} == {"4*", "4"}
-        assert {fig.names[x] for x in fig.covers_up(fig.id_of("0"))} == {"1", "2", "3"}
+        assert {fig.names[x] for x in fig.cover_downs[fig.id_of("2*")]} == {"4*", "4"}
+        assert {fig.names[x] for x in fig.cover_ups[fig.id_of("0")]} == {"1", "2", "3"}
 
     def test_interval_counts(self):
         two = build_lattice(["0", "1"], [("1", "0")])
@@ -306,7 +306,7 @@ class TestQueries:
 
 
 def _assert_cover_lists(lat):
-    """covers_up / covers_down are the cover pairs' ends, in ascending id order."""
+    """cover_ups / cover_downs are the cover pairs' ends, in ascending id order."""
     ups = [[] for _ in range(lat.n)]
     downs = [[] for _ in range(lat.n)]
     for u, l in sorted(lat.covers, key=lambda pair: pair[::-1]):
@@ -314,8 +314,8 @@ def _assert_cover_lists(lat):
     for u, l in lat.covers:
         downs[u].append(l)
     for x in range(lat.n):
-        assert list(lat.covers_up(x)) == sorted(ups[x])
-        assert list(lat.covers_down(x)) == sorted(downs[x])
+        assert list(lat.cover_ups[x]) == sorted(ups[x])
+        assert list(lat.cover_downs[x]) == sorted(downs[x])
 
 
 class TestInvariants:

@@ -9,6 +9,8 @@
   ``python -O``.
 - Every error class of ``errors.py`` but the base ``LatticeError`` is
   named in a ``raise`` in some other module, so no error class is dead.
+- No module reads another object's private attribute: ``<expr>._name``
+  (one leading underscore) occurs only with ``<expr>`` being ``self``.
 """
 
 import ast
@@ -57,6 +59,18 @@ def unraised_errors(errors_source: str, sources: Iterable[str]) -> list[str]:
     return [c for c in classes if c != "LatticeError" and c not in raised]
 
 
+def private_reads(source: str) -> list[str]:
+    """Accesses ``<expr>._name`` (one leading underscore) whose <expr> is not ``self``."""
+    return [
+        f"{ast.unparse(node)} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+
+
 def test_modules_found():
     assert {"lattice.py", "cli.py", "_backend.py"} <= {p.name for p in MODULES}
 
@@ -93,3 +107,16 @@ def test_unraised_error_is_reported():
     )
     user = "def f():\n    raise Used('x') from None\n\nclass G:\n    dead = Dead\n"
     assert unraised_errors(errors_source, [user]) == ["Dead"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_private_reads_across_objects(path):
+    assert private_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_private_read_is_reported():
+    source = (
+        "class A:\n    def f(self, other):\n"
+        "        return self._x, other._x, other.y._z, self.__doc__\n"
+    )
+    assert private_reads(source) == ["other._x (line 3)", "other.y._z (line 3)"]
