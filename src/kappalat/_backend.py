@@ -24,7 +24,6 @@ def backend_name() -> str:
 
 
 def first_missing_meet(
-    n: int,
     up: Sequence[int],
     down: Sequence[int],
     cover_ups: Sequence[Sequence[int]],
@@ -54,7 +53,8 @@ def first_missing_meet(
       its cover u.
 
     That certificate costs one AND per such x and m in mirr.  Only when
-    it fails does the row test run, to report the witness.  The b in
+    it fails does the row test run, and it ends in the witness pair or,
+    should it find none, InternalInvariant, never in None.  The b in
     which z <= a is a maximal common lower bound of a and b form
     up[z] & ~OR(up[u]: u an upper cover of z inside down[a]); counting
     those masks once/twice over z in down[a] marks every b whose meet
@@ -69,12 +69,12 @@ def first_missing_meet(
             for dm in mirr_downs:
                 common = dx & dm
                 if common != down[common.bit_length() - 1]:
-                    return _first_failing_row(n, up, down, cover_ups, cover_downs)
+                    return _first_failing_row(up, down, cover_ups, cover_downs)
     return None
 
 
-def _first_failing_row(n, up, down, cover_ups, cover_downs):
-    for a in range(n):
+def _first_failing_row(up, down, cover_ups, cover_downs):
+    for a in range(len(up)):
         if len(cover_downs[a]) < 2:
             continue
         da = down[a]
@@ -88,7 +88,7 @@ def _first_failing_row(n, up, down, cover_ups, cover_downs):
             once |= maximal
         if twice:
             return (a, (twice & -twice).bit_length() - 1)
-    return None
+    raise InternalInvariant("the meet certificate failed but no row lacks a meet")
 
 
 def cover_join_label(up: Sequence[int], down: Sequence[int], upper: int, lower: int) -> int:
@@ -135,7 +135,7 @@ def arrow_labels(
 
 
 def sd_witness(
-    n: int, up: Sequence[int], down: Sequence[int], covers: Sequence[tuple[int, int]]
+    up: Sequence[int], down: Sequence[int], covers: Sequence[tuple[int, int]]
 ) -> tuple[str, int, int, int] | None:
     """First triple violating a pairwise semidistributive law, or None.
 
@@ -148,12 +148,12 @@ def sd_witness(
     if arrow_labels(up, down, covers) is not None:
         return None
     return (
-        _law_witness("join", n, up, down, lowest_bit, highest_bit)
-        or _law_witness("meet", n, down, up, highest_bit, lowest_bit)
+        _law_witness("join", up, down, lowest_bit, highest_bit)
+        or _law_witness("meet", down, up, highest_bit, lowest_bit)
     )
 
 
-def _law_witness(law, n, ups, downs, least, greatest):
+def _law_witness(law, ups, downs, least, greatest):
     """First (law, a, x, y) with a|x = a|y but a|(x&y) != a|x, or None.
 
     Written for the join law: | is the join, least(ups[x] & ups[y]), and
@@ -169,6 +169,7 @@ def _law_witness(law, n, ups, downs, least, greatest):
     failing pair; a in id order and the fibers in order of their first x
     make the triple deterministic.
     """
+    n = len(ups)
     for a in range(n):
         ua = ups[a]
         fiber: dict[int, int] = {}
@@ -191,7 +192,7 @@ def _locate_pair(ups, downs, least, greatest, a, v, xs):
     raise InternalInvariant("fiber bound escaped but every pair agrees")
 
 
-def transitive_reduction(n: int, up: Sequence[int]) -> list[tuple[int, int]]:
+def transitive_reduction(up: Sequence[int]) -> list[tuple[int, int]]:
     """Cover pairs (upper, lower) of the order given by up-masks, lex-sorted.
 
     Precondition: ids form a linear extension of the order (x < y in the
@@ -201,7 +202,7 @@ def transitive_reduction(n: int, up: Sequence[int]) -> list[tuple[int, int]]:
     mask operation per Hasse edge.
     """
     pairs = []
-    for lower in range(n):
+    for lower in range(len(up)):
         rest = up[lower] ^ (1 << lower)
         while rest:
             upper = (rest & -rest).bit_length() - 1

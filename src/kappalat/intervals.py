@@ -227,7 +227,7 @@ def derived_poset(lattice: Lattice, labeling: ArrowLabeling, kind: str) -> SetFa
     full = (1 << w) - 1
     order = sorted(images, key=lambda pm: (pm.bit_count(), format(pm ^ full, f"0{w}b")[::-1]))
     # sets sorted by cardinality form a linear extension of inclusion
-    hasse = _backend.transitive_reduction(len(order), supersets(order))
+    hasse = _backend.transitive_reduction(supersets(order))
     jbits = [1 << j for j in jirr_ids]
     return SetFamilyPoset(
         kind=kind,

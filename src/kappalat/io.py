@@ -101,12 +101,11 @@ def _document(fields: dict[str, Any]) -> str:
     A str value is already rendered; any other is an iterable of rendered
     array items.
     """
-    parts = []
-    for key, value in fields.items():
-        parts += (",\n  " if parts else "{\n  ", encode_basestring(key), ": ")
-        parts.append(value if isinstance(value, str) else _array(value, 1))
-    parts.append("\n}\n")
-    return "".join(parts)
+    items = (
+        f"{encode_basestring(key)}: {value if isinstance(value, str) else _array(value, 1)}"
+        for key, value in fields.items()
+    )
+    return _array(items, 0, "{}") + "\n"
 
 
 # a two-item array nested at depth 2, such as one Hasse edge of a document

@@ -171,15 +171,13 @@ def build_lattice(names: Sequence[str], covers: Iterable[tuple[str, str]]) -> La
         index = dict(zip(names, range(n)))
         cover_pairs = [(old_to_new[u], old_to_new[l]) for u, l in cover_pairs]
 
+    # in (upper, lower) order each u meets its lowers and each l its
+    # uppers in ascending order, so one sort makes both cover lists ascending
+    cover_pairs.sort()
     cover_downs: list[list[int]] = [[] for _ in range(n)]
-    for u, l in cover_pairs:
-        cover_downs[u].append(l)
-    for lowers in cover_downs:
-        lowers.sort()
-    # sorted by (upper, lower), so every cover_ups[l] comes out ascending too
-    cover_pairs = [(u, l) for u, lowers in enumerate(cover_downs) for l in lowers]
     cover_ups: list[list[int]] = [[] for _ in range(n)]
     for u, l in cover_pairs:
+        cover_downs[u].append(l)
         cover_ups[l].append(u)
     own = [1 << x for x in range(n)]
     up = _or_closure(own, cover_ups, range(n - 1, -1, -1))
@@ -200,7 +198,7 @@ def build_lattice(names: Sequence[str], covers: Iterable[tuple[str, str]]) -> La
         )
     bottom, top = bottoms[0], tops[0]
 
-    missing = _backend.first_missing_meet(n, up, down, cover_ups, cover_downs)
+    missing = _backend.first_missing_meet(up, down, cover_ups, cover_downs)
     if missing is not None:
         a, b = missing
         raise NotALattice(

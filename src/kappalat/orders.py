@@ -253,7 +253,7 @@ def order_poset(lattice: Lattice, labeling: ArrowLabeling, kind: str) -> OrderRe
     else:
         up_rel = _clo_up(lattice, _core_labels(lattice, labeling)[0])
     # both orders refine the lattice order, whose ids form a linear extension
-    hasse = _backend.transitive_reduction(lattice.n, up_rel)
+    hasse = _backend.transitive_reduction(up_rel)
     return OrderRelation(kind=kind, up=tuple(up_rel), hasse=tuple(hasse))
 
 

@@ -111,6 +111,9 @@ class TestCjr:
         )
         chain = gen_chain(3)
         assert verify_cjr_oracle(chain, chain.top, 1 << chain.top)
+        # {1, 2} joins to 2 and refines every representation of 2, but 1 < 2,
+        # so only the antichain condition rejects it
+        assert not verify_cjr_oracle(chain, 2, 0b110)
 
     def test_oracle_rejects_large(self):
         with pytest.raises(TooLarge):

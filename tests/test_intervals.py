@@ -256,7 +256,7 @@ class TestDerivedPoset:
                 for mid in sets
             )
         ]
-        assert transitive_reduction(len(sets), up) == sorted(expected)
+        assert transitive_reduction(up) == sorted(expected)
 
     def test_label_sets_wider_than_64_bits(self):
         # chain(70) has 69 join-irreducibles: label sets span several words

@@ -17,10 +17,12 @@ from helpers import (
     small_labeled_corpus,
 )
 from kappalat import Lattice, bits_of, build_lattice, gen_a2, gen_boolean, gen_fig1
+from kappalat import _backend
 from kappalat._bits import pick
 from kappalat.errors import (
     CyclicCovers,
     DuplicateName,
+    InternalInvariant,
     InvalidInterval,
     NoBoundedStructure,
     NotALattice,
@@ -145,6 +147,13 @@ class TestBuild:
         names = ["0", "c", "d", *ps, "m1", "m2", "m3", "m4", "m5", "1"]
         with pytest.raises(NotALattice, match="^elements 'p12' and 'p13' have no"):
             build_lattice(names, covers)
+
+    def test_row_search_that_finds_no_pair_reports_a_broken_invariant(self):
+        # every meet of fig1 exists, so the row search, which runs only
+        # after the meet certificate failed, must not hand back None
+        lat = gen_fig1()
+        with pytest.raises(InternalInvariant, match="no row lacks a meet"):
+            _backend._first_failing_row(lat.up, lat.down, lat.cover_ups, lat.cover_downs)
 
     def test_no_bounds(self):
         with pytest.raises(NoBoundedStructure):

@@ -59,3 +59,33 @@ def test_check_on_a_non_sd_lattice_times_the_sd_kernel(spans, tmp_path, capsys):
     code, times = _traced(spans, ["check", str(path)])
     assert code == 3
     assert times.get("kernel.sd_witness", 0) > 0
+
+
+# for each kernel span, requests (lattice, argv after the path) that reach it
+KERNEL_REQUESTS = [
+    ("kernel.first_missing_meet", "fig1", ["check"]),
+    ("kernel.sd_witness", "m3", ["check"]),
+    ("kernel.interval_images", "fig1", ["posets", "--kind", "wide"]),
+    ("kernel.transitive_reduction", "fig1", ["posets", "--kind", "wide"]),
+    ("kernel.transitive_reduction", "fig1", ["orders", "--kind", "clo"]),
+]
+DOCUMENTS = {
+    "fig1": emit_lattice(gen_fig1()),
+    "m3": json.dumps({
+        "elements": ["0", "a", "b", "c", "1"],
+        "covers": [["a", "0"], ["b", "0"], ["c", "0"], ["1", "a"], ["1", "b"], ["1", "c"]],
+    }),
+}
+
+
+def test_every_kernel_has_a_request(spans):
+    kernels = {name for _, _, name in spans.ENTRY_POINTS if name.startswith("kernel.")}
+    assert {kernel for kernel, _, _ in KERNEL_REQUESTS} == kernels
+
+
+@pytest.mark.parametrize(("kernel", "doc", "args"), KERNEL_REQUESTS)
+def test_kernel_is_timed_through_backend(spans, tmp_path, capsys, kernel, doc, args):
+    path = tmp_path / f"{doc}.json"
+    path.write_text(DOCUMENTS[doc], encoding="utf-8")
+    _, times = _traced(spans, [args[0], str(path), *args[1:]])
+    assert times.get(kernel, 0) > 0

@@ -226,7 +226,7 @@ def test_check_matches_the_two_step_oracle(order):
 @given(lattices())
 def test_transitive_reduction_of_lattices(order):
     lat = build(*order)
-    assert _backend.transitive_reduction(lat.n, lat.up) == sorted(brute_covers(lat))
+    assert _backend.transitive_reduction(lat.up) == sorted(brute_covers(lat))
 
 
 @settings(deadline=None)
@@ -235,4 +235,4 @@ def test_transitive_reduction_of_posets(order):
     n, covers = order
     leq = order_closure(n, covers)
     up = [sum(1 << y for y in range(n) if leq[x][y]) for x in range(n)]
-    assert _backend.transitive_reduction(n, up) == sorted(covers)
+    assert _backend.transitive_reduction(up) == sorted(covers)

@@ -11,6 +11,7 @@
   named in a ``raise`` in some other module, so no error class is dead.
 - No module reads another object's private attribute: ``<expr>._name``
   (one leading underscore) occurs only with ``<expr>`` being ``self``.
+- ``__init__.py`` lists in ``__all__`` exactly the names it imports.
 """
 
 import ast
@@ -71,6 +72,25 @@ def private_reads(source: str) -> list[str]:
     ]
 
 
+def export_mismatch(source: str) -> tuple[list[str], list[str]]:
+    """Names imported but not in ``__all__``, and names in ``__all__`` not imported."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    listed = {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
+    return sorted(imported - listed), sorted(listed - imported)
+
+
 def test_modules_found():
     assert {"lattice.py", "cli.py", "_backend.py"} <= {p.name for p in MODULES}
 
@@ -120,3 +140,17 @@ def test_private_read_is_reported():
         "        return self._x, other._x, other.y._z, self.__doc__\n"
     )
     assert private_reads(source) == ["other._x (line 3)", "other.y._z (line 3)"]
+
+
+def test_all_matches_the_re_exports():
+    assert export_mismatch((PACKAGE / "__init__.py").read_text(encoding="utf-8")) == ([], [])
+
+
+def test_export_mismatch_is_reported():
+    source = (
+        "from __future__ import annotations\n"
+        "from ._bits import bits_of, mask_of\n"
+        "from .io import emit_dot\n\n"
+        "__all__ = ['bits_of', 'emit_dot', 'gone']\n"
+    )
+    assert export_mismatch(source) == (["mask_of"], ["gone"])
