@@ -18,7 +18,6 @@ from .orders import (
     extended_kappa,
     extended_kappa_table,
     first_order_mismatch,
-    gorbunov_check,
     kappa_leq,
     order_poset,
     orders_coincide,
@@ -93,7 +92,6 @@ __all__ = [
     "gen_fig1",
     "gen_weak_dihedral",
     "gen_weak_sym",
-    "gorbunov_check",
     "is_ice_interval",
     "is_semidistributive",
     "is_wide_interval",

@@ -4,9 +4,9 @@ All kernels operate on order data given as sequences of int bitmasks:
 up[x] is the set {y | x <= y} and down[x] the set {x' | x' <= x}, each
 including x.  Ids form a linear extension (x < y in the order implies
 id(x) < id(y)), so the only possible minimum of a set is its lowest bit
-and the only possible maximum its highest bit.  Each kernel is written
-once: the meet-law sweep is the join-law sweep on the dual order (up
-and down swapped, lowest and highest bit swapped), and the interval
+and the only possible maximum its highest bit.  There is one copy of
+each kernel: the meet-law sweep is the join-law sweep on the dual order
+(up and down swapped, lowest and highest bit swapped), and the interval
 sweep takes per-element top masks, so it knows nothing of the kinds.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from ._bits import bits_of, highest_bit, lowest_bit
+from ._bits import highest_bit, lowest_bit, pick
 from .errors import InternalInvariant
 
 
@@ -24,7 +24,6 @@ def backend_name() -> str:
 
 
 def first_missing_meet(
-    up: Sequence[int],
     down: Sequence[int],
     cover_ups: Sequence[Sequence[int]],
     cover_downs: Sequence[Sequence[int]],
@@ -32,15 +31,17 @@ def first_missing_meet(
     """First incomparable pair (by lex id order) lacking a greatest lower bound.
 
     Bounded posets are lattices iff all pairwise meets exist, so this is
-    the whole lattice test once top and bottom are known to be unique.
+    the whole lattice test when top and bottom are known to be unique.
     cover_ups[x] / cover_downs[x] list the upper / lower covers of x;
-    mirr denotes the elements with exactly one upper cover.
+    mirr denotes the elements with exactly one upper cover, and the rows
+    are the elements with two or more lower covers.  The meet of a and b
+    exists iff common = down[a] & down[b] is down[common's highest bit].
 
     A bounded poset is a lattice iff (a) every down[x] is the intersection
     of down[m] over the m in mirr above x, and (b) for every x and every m
     in mirr, down[x] & down[m] is again a principal down-set: by (a) any
     down[x] & down[y] is then a chain of such intersections.  Both reduce
-    to a check at the elements with two or more lower covers:
+    to a check at the rows:
 
     - (b) needs checking only there.  If x has exactly one lower cover c,
       then down[x] & down[m] = down[c] & down[m] for every m incomparable
@@ -52,42 +53,34 @@ def first_missing_meet(
       holds x and y but has no maximum, which would lie between x and
       its cover u.
 
-    That certificate costs one AND per such x and m in mirr.  Only when
-    it fails does the row test run, and it ends in the witness pair or,
-    should it find none, InternalInvariant, never in None.  The b in
-    which z <= a is a maximal common lower bound of a and b form
-    up[z] & ~OR(up[u]: u an upper cover of z inside down[a]); counting
-    those masks once/twice over z in down[a] marks every b whose meet
-    with a is missing.  A row with one lower cover c fails only where row
-    c does, and meets are symmetric, so the first failing row with two or
-    more lower covers and the lowest b it marks are the lex-first pair.
+    That certificate costs one AND per row and m in mirr.  Only when it
+    fails does the pair search run, with the same test on the pairs of
+    rows a < b in id order; it ends in the witness pair or, should it
+    find none, InternalInvariant, never in None.  That pair is the
+    lex-first one: let a be the first row that lacks a meet with
+    something, and b the least element that lacks a meet with a.  If b
+    had a single lower cover c, then c would lack a meet with a too, and
+    c < b.  If b < a, then row b would fail before row a.  So b is a row
+    and b > a, and (a, b) is the first failing pair of rows.  It is also
+    the lex-first pair of the poset: by the argument for b, the first
+    element of that pair is a row, and no row before a lacks a meet.
     """
+    rows = [(x, down[x]) for x, cd in enumerate(cover_downs) if len(cd) > 1]
     mirr_downs = [down[m] for m, cu in enumerate(cover_ups) if len(cu) == 1]
-    for x, cd in enumerate(cover_downs):
-        if len(cd) > 1:
-            dx = down[x]
-            for dm in mirr_downs:
-                common = dx & dm
-                if common != down[common.bit_length() - 1]:
-                    return _first_failing_row(up, down, cover_ups, cover_downs)
+    for _, dx in rows:
+        for dm in mirr_downs:
+            common = dx & dm
+            if common != down[common.bit_length() - 1]:
+                return _first_failing_pair(down, rows)
     return None
 
 
-def _first_failing_row(up, down, cover_ups, cover_downs):
-    for a in range(len(up)):
-        if len(cover_downs[a]) < 2:
-            continue
-        da = down[a]
-        once = twice = 0
-        for z in bits_of(da):
-            maximal = up[z]
-            for u in cover_ups[z]:
-                if (da >> u) & 1:
-                    maximal &= ~up[u]
-            twice |= once & maximal
-            once |= maximal
-        if twice:
-            return (a, (twice & -twice).bit_length() - 1)
+def _first_failing_pair(down, rows):
+    for i, (a, da) in enumerate(rows):
+        for b, db in rows[i + 1:]:
+            common = da & db
+            if common != down[common.bit_length() - 1]:
+                return (a, b)
     raise InternalInvariant("the meet certificate failed but no row lacks a meet")
 
 
@@ -168,17 +161,32 @@ def _law_witness(law, ups, downs, least, greatest):
     scan.  Only a failing fiber is rescanned, in id order, for its first
     failing pair; a in id order and the fibers in order of their first x
     make the triple deterministic.
+
+    Only the x incomparable to a are swept.  Every x <= a lies in the
+    fiber of a, and that fiber always passes.  An x > a is the largest
+    member of its fiber, so it changes neither the fiber's AND-bound nor,
+    in the join pass, the fiber's first member; a fiber of x alone
+    passes.  So each a has the same failing fibers as in the full sweep.
+    In the meet pass (dual order, a still in ascending id) that x is the
+    fiber's first member, but there the first failing a has a single
+    failing fiber.  In meet-law terms: if a, x, y fail, so do
+    a' = a ^ (x v y) <= a, x, y, hence the first failing a lies below
+    x v y.  Were fibers v1 != v2 of it to fail, with say v1 not <= v2,
+    then b = v1 < a would fail with the pair x2, y2 of v2: b ^ x2 =
+    b ^ y2 = v1 ^ v2, but b ^ (x2 v y2) = b != v1 ^ v2.
     """
     n = len(ups)
-    for a in range(n):
+    ids = range(n)
+    everything = (1 << n) - 1
+    for a in ids:
         ua = ups[a]
         fiber: dict[int, int] = {}
-        for x in range(n):
+        for x in pick(ids, everything & ~(ua | downs[a])):
             v = least(ua & ups[x])
             fiber[v] = fiber.get(v, -1) & downs[x]
         for v, bound in fiber.items():
             if least(ua & ups[greatest(bound)]) != v:
-                xs = [x for x in range(n) if least(ua & ups[x]) == v]
+                xs = [x for x in ids if least(ua & ups[x]) == v]
                 return (law,) + _locate_pair(ups, downs, least, greatest, a, v, xs)
     return None
 

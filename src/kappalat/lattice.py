@@ -52,8 +52,6 @@ class Lattice:
     up: tuple[int, ...]
     down: tuple[int, ...]
     covers: tuple[tuple[int, int], ...]
-    bottom: int
-    top: int
     _index: dict[str, int] = field(repr=False, compare=False)
     cover_ups: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
     cover_downs: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
@@ -61,6 +59,16 @@ class Lattice:
     @property
     def n(self) -> int:
         return len(self.names)
+
+    @property
+    def bottom(self) -> int:
+        """Id 0: ids form a linear extension and the bottom is unique."""
+        return 0
+
+    @property
+    def top(self) -> int:
+        """Id n - 1: ids form a linear extension and the top is unique."""
+        return len(self.names) - 1
 
     def id_of(self, name: str) -> int:
         try:
@@ -78,14 +86,14 @@ class Lattice:
         up-set is its least element.  The join of the empty set is the
         bottom.
         """
-        return lowest_bit(reduce(and_, map(self.up.__getitem__, xs), self.up[self.bottom]))
+        return lowest_bit(reduce(and_, map(self.up.__getitem__, xs), self.up[0]))
 
     def meet(self, xs: Iterable[int]) -> int:
         """Greatest lower bound: the highest bit of the AND of the down-sets.
 
         The meet of the empty set is the top.
         """
-        return highest_bit(reduce(and_, map(self.down.__getitem__, xs), self.down[self.top]))
+        return highest_bit(reduce(and_, map(self.down.__getitem__, xs), self.down[-1]))
 
     def or_below(self, seeds: Sequence[int]) -> list[int]:
         """out[x] = OR of seeds[y] over all y <= x; one OR per cover."""
@@ -190,15 +198,14 @@ def build_lattice(names: Sequence[str], covers: Iterable[tuple[str, str]]) -> La
                 f"cover {names[u]!r} > {names[l]!r} is implied via {z!r}"
             )
 
-    bottoms = [x for x, lowers in enumerate(cover_downs) if not lowers]
-    tops = [x for x, uppers in enumerate(cover_ups) if not uppers]
-    if len(bottoms) != 1 or len(tops) != 1:
+    minimal = cover_downs.count([])
+    maximal = cover_ups.count([])
+    if minimal != 1 or maximal != 1:
         raise NoBoundedStructure(
-            f"{len(bottoms)} minimal and {len(tops)} maximal elements; need exactly one of each"
+            f"{minimal} minimal and {maximal} maximal elements; need exactly one of each"
         )
-    bottom, top = bottoms[0], tops[0]
 
-    missing = _backend.first_missing_meet(up, down, cover_ups, cover_downs)
+    missing = _backend.first_missing_meet(down, cover_ups, cover_downs)
     if missing is not None:
         a, b = missing
         raise NotALattice(
@@ -210,8 +217,6 @@ def build_lattice(names: Sequence[str], covers: Iterable[tuple[str, str]]) -> La
         up=tuple(up),
         down=tuple(down),
         covers=tuple(cover_pairs),
-        bottom=bottom,
-        top=top,
         _index=index,
         cover_ups=tuple(map(tuple, cover_ups)),
         cover_downs=tuple(map(tuple, cover_downs)),

@@ -97,20 +97,6 @@ def verify_cjr_oracle(lattice: Lattice, x: int, rep: int) -> bool:
     return True
 
 
-def gorbunov_check(lattice: Lattice, x: int) -> bool:
-    """Every y < x lies below some lower cover of x.
-
-    This is the canonical-join-representation existence criterion; it
-    holds at every element of a finite lattice and is kept purely as a
-    cross-validation oracle.
-    """
-    reach = 0
-    for c in lattice.cover_downs[x]:
-        reach |= lattice.down[c]
-    strict = lattice.down[x] ^ (1 << x)
-    return strict & ~reach == 0
-
-
 def _check_image(lattice: Lattice, x: int, rep: int, up_labels: int) -> None:
     if up_labels != rep:
         raise InternalInvariant(

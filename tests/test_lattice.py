@@ -149,11 +149,12 @@ class TestBuild:
             build_lattice(names, covers)
 
     def test_row_search_that_finds_no_pair_reports_a_broken_invariant(self):
-        # every meet of fig1 exists, so the row search, which runs only
+        # every meet of fig1 exists, so the pair search, which runs only
         # after the meet certificate failed, must not hand back None
         lat = gen_fig1()
+        rows = [(x, lat.down[x]) for x, cd in enumerate(lat.cover_downs) if len(cd) > 1]
         with pytest.raises(InternalInvariant, match="no row lacks a meet"):
-            _backend._first_failing_row(lat.up, lat.down, lat.cover_ups, lat.cover_downs)
+            _backend._first_failing_pair(lat.down, rows)
 
     def test_no_bounds(self):
         with pytest.raises(NoBoundedStructure):

@@ -12,6 +12,8 @@
 - No module reads another object's private attribute: ``<expr>._name``
   (one leading underscore) occurs only with ``<expr>`` being ``self``.
 - ``__init__.py`` lists in ``__all__`` exactly the names it imports.
+- Every parameter of every function but ``self`` is read in the
+  function's body, so no argument is passed for nothing.
 """
 
 import ast
@@ -70,6 +72,28 @@ def private_reads(source: str) -> list[str]:
         and not node.attr.startswith("__")
         and not (isinstance(node.value, ast.Name) and node.value.id == "self")
     ]
+
+
+def unused_parameters(source: str) -> list[str]:
+    """Parameters, bar ``self``, that their function's body never reads."""
+    unused = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]
+        read = {
+            name.id
+            for stmt in node.body
+            for name in ast.walk(stmt)
+            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+        }
+        unused += [
+            f"{node.name}({p.arg}) (line {node.lineno})"
+            for p in params
+            if p is not None and p.arg != "self" and p.arg not in read
+        ]
+    return unused
 
 
 def export_mismatch(source: str) -> tuple[list[str], list[str]]:
@@ -140,6 +164,20 @@ def test_private_read_is_reported():
         "        return self._x, other._x, other.y._z, self.__doc__\n"
     )
     assert private_reads(source) == ["other._x (line 3)", "other.y._z (line 3)"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_parameter_is_reported():
+    source = (
+        "def f(a, b, *rest, c, **extra):\n    return a + len(rest)\n\n"
+        "class A:\n    def g(self, d):\n        def h():\n            return d\n"
+        "        return h\n"
+    )
+    assert unused_parameters(source) == ["f(b) (line 1)", "f(c) (line 1)", "f(extra) (line 1)"]
 
 
 def test_all_matches_the_re_exports():
