@@ -4,6 +4,13 @@ Subcommands: check, labels, jlabel, posets, cjr, orders, compare, gen.
 Exit codes: 0 success, 1 usage error, otherwise the exit_code of the
 error class raised (see kappalat.errors).  Output is deterministic
 byte-for-byte across runs.
+
+A command imports the modules it runs when it runs, and the parser
+gets the arguments of the named command only, so ``check`` never loads
+the interval sweep, the orders or the generators.  Every library call
+goes through its module's attribute (``labeling.full_labeling``,
+``io.parse_lattice``), so a caller that replaces one, as a profiler
+does, sees each call.
 """
 
 from __future__ import annotations
@@ -13,10 +20,8 @@ import functools
 import os
 import sys
 from collections.abc import Sequence
-from pathlib import Path
 
-from . import generators, intervals, io, labeling
-from . import orders as orders_mod
+from . import io
 from ._bits import bits_of
 from .errors import LatticeError, NotSemidistributive, ParseError
 from .lattice import Lattice
@@ -33,7 +38,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _load(path: str) -> Lattice:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
@@ -41,11 +47,21 @@ def _load(path: str) -> Lattice:
     return io.parse_lattice(text)
 
 
+def _labeled(path: str):
+    """The lattice of the document at path and its labeling."""
+    from . import labeling
+
+    lat = _load(path)
+    return lat, labeling.full_labeling(lat)
+
+
 def _set_str(lattice: Lattice, mask: int) -> str:
     return "{" + ", ".join(lattice.names[j] for j in bits_of(mask)) + "}"
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from . import labeling
+
     lat = _load(args.file)
     print(f"lattice: {lat.n} elements, {len(lat.covers)} covers")
     print(f"bottom: {lat.names[lat.bottom]}   top: {lat.names[lat.top]}")
@@ -67,8 +83,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_labels(args: argparse.Namespace) -> int:
-    lat = _load(args.file)
-    lab = labeling.full_labeling(lat)
+    lat, lab = _labeled(args.file)
     if args.dot:
         sys.stdout.write(io.emit_dot(lat, lab))
         return 0
@@ -81,8 +96,9 @@ def _cmd_labels(args: argparse.Namespace) -> int:
 
 
 def _cmd_jlabel(args: argparse.Namespace) -> int:
-    lat = _load(args.file)
-    lab = labeling.full_labeling(lat)
+    from . import intervals
+
+    lat, lab = _labeled(args.file)
     iv = (lat.id_of(args.lower), lat.id_of(args.upper))
     fn = intervals.jlabel_scan if args.scan else intervals.jlabel
     mask = fn(lat, lab, iv)
@@ -91,8 +107,9 @@ def _cmd_jlabel(args: argparse.Namespace) -> int:
 
 
 def _cmd_posets(args: argparse.Namespace) -> int:
-    lat = _load(args.file)
-    lab = labeling.full_labeling(lat)
+    from . import intervals
+
+    lat, lab = _labeled(args.file)
     fam = intervals.derived_poset(lat, lab, args.kind)
     if args.format == "dot":
         sys.stdout.write(io.emit_family_dot(lat, fam))
@@ -102,19 +119,21 @@ def _cmd_posets(args: argparse.Namespace) -> int:
 
 
 def _cmd_cjr(args: argparse.Namespace) -> int:
-    lat = _load(args.file)
-    lab = labeling.full_labeling(lat)
+    from . import orders
+
+    lat, lab = _labeled(args.file)
     targets = [lat.id_of(args.element)] if args.element is not None else range(lat.n)
     for x in targets:
-        rep = orders_mod.cjr(lat, lab, x)
+        rep = orders.cjr(lat, lab, x)
         print(f"{lat.names[x]} = join {_set_str(lat, rep)}")
     return 0
 
 
 def _cmd_orders(args: argparse.Namespace) -> int:
-    lat = _load(args.file)
-    lab = labeling.full_labeling(lat)
-    rel = orders_mod.order_poset(lat, lab, args.kind)
+    from . import orders
+
+    lat, lab = _labeled(args.file)
+    rel = orders.order_poset(lat, lab, args.kind)
     if args.format == "dot":
         sys.stdout.write(io.emit_relation_dot(lat, rel))
     else:
@@ -123,9 +142,10 @@ def _cmd_orders(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    lat = _load(args.file)
-    lab = labeling.full_labeling(lat)
-    mismatch, failures = orders_mod.compare_orders(lat, lab)
+    from . import orders
+
+    lat, lab = _labeled(args.file)
+    mismatch, failures = orders.compare_orders(lat, lab)
     if mismatch is None:
         print("orders coincide: yes")
     else:
@@ -133,8 +153,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         pair = f"{lat.names[x]}, {lat.names[y]}"
         print("orders coincide: no")
         print(f"witness: ({pair})")
-        print(f"  clo_leq({pair}) = {orders_mod.clo_leq(lat, lab, x, y)}")
-        print(f"  kappa_leq({pair}) = {orders_mod.kappa_leq(lat, lab, x, y)}")
+        print(f"  clo_leq({pair}) = {orders.clo_leq(lat, lab, x, y)}")
+        print(f"  kappa_leq({pair}) = {orders.kappa_leq(lat, lab, x, y)}")
     if failures:
         print("sufficient condition: fails at " + ", ".join(lat.names[x] for x in failures))
     else:
@@ -143,6 +163,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from . import generators
+
     family = generators.FAMILIES[args.family]
     if args.family in generators.PARAMETRIC:
         if args.n is None:
@@ -157,7 +179,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     text = io.emit_lattice(lat, meta)
     if args.output:
         try:
-            Path(args.output).write_text(text, encoding="utf-8")
+            with open(args.output, "w", encoding="utf-8") as file:
+                file.write(text)
         except OSError as exc:
             raise _UsageError(f"cannot write {args.output}: {exc.strerror}") from None
     else:
@@ -165,63 +188,73 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+# name -> (function, help) of each subcommand
+_COMMANDS = {
+    "check": (_cmd_check, "validate a lattice and print its kappa table"),
+    "labels": (_cmd_labels, "join- and meet-irreducible labels per arrow"),
+    "jlabel": (_cmd_jlabel, "label set of one interval"),
+    "posets": (_cmd_posets, "poset of interval label sets"),
+    "cjr": (_cmd_cjr, "canonical join representations"),
+    "orders": (_cmd_orders, "kappa order or core label order"),
+    "compare": (_cmd_compare, "do the two derived orders coincide?"),
+    "gen": (_cmd_gen, "write a built-in lattice as JSON"),
+}
+
+
+def _add_arguments(command: str, p: _Parser) -> None:
+    """The arguments of one subcommand; its choices import their module."""
+    if command != "gen":
+        p.add_argument("file")
+    if command == "labels":
+        p.add_argument("--dot", action="store_true", help="emit a labeled DOT diagram")
+    elif command == "jlabel":
+        p.add_argument("--lower", required=True)
+        p.add_argument("--upper", required=True)
+        p.add_argument("--scan", action="store_true", help="use the arrow-scan method")
+    elif command == "posets":
+        from . import intervals
+
+        p.add_argument("--kind", choices=intervals.KINDS, required=True)
+        p.add_argument("--format", choices=("json", "dot"), default="json")
+    elif command == "cjr":
+        p.add_argument("--element", help="restrict to one element")
+    elif command == "orders":
+        from . import orders
+
+        p.add_argument("--kind", choices=orders.ORDER_KINDS, required=True)
+        p.add_argument("--format", choices=("json", "dot"), default="json")
+    elif command == "gen":
+        from . import generators
+
+        p.add_argument("--family", choices=sorted(generators.FAMILIES), required=True)
+        p.add_argument("--n", type=int, help="size parameter for parametric families")
+        p.add_argument("-o", "--output", help="output file (default stdout)")
+
+
 @functools.cache
-def _build_parser() -> _Parser:
-    """The argument parser, built once per process; parse_args keeps no state."""
+def _build_parser(command: str | None) -> _Parser:
+    """The argument parser for argv naming command, built once per command.
+
+    Every subcommand is registered with its help, but only command gets
+    its arguments: argparse runs the subparser of the first argv token
+    that names a command, since the top level takes no other positional.
+    parse_args keeps no state, so the parser is reused.
+    """
     parser = _Parser(prog="kappalat", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="validate a lattice and print its kappa table")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("labels", help="join- and meet-irreducible labels per arrow")
-    p.add_argument("file")
-    p.add_argument("--dot", action="store_true", help="emit a labeled DOT diagram")
-    p.set_defaults(func=_cmd_labels)
-
-    p = sub.add_parser("jlabel", help="label set of one interval")
-    p.add_argument("file")
-    p.add_argument("--lower", required=True)
-    p.add_argument("--upper", required=True)
-    p.add_argument("--scan", action="store_true", help="use the arrow-scan method")
-    p.set_defaults(func=_cmd_jlabel)
-
-    p = sub.add_parser("posets", help="poset of interval label sets")
-    p.add_argument("file")
-    p.add_argument("--kind", choices=intervals.KINDS, required=True)
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.set_defaults(func=_cmd_posets)
-
-    p = sub.add_parser("cjr", help="canonical join representations")
-    p.add_argument("file")
-    p.add_argument("--element", help="restrict to one element")
-    p.set_defaults(func=_cmd_cjr)
-
-    p = sub.add_parser("orders", help="kappa order or core label order")
-    p.add_argument("file")
-    p.add_argument("--kind", choices=orders_mod.ORDER_KINDS, required=True)
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.set_defaults(func=_cmd_orders)
-
-    p = sub.add_parser("compare", help="do the two derived orders coincide?")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("gen", help="write a built-in lattice as JSON")
-    p.add_argument("--family", choices=sorted(generators.FAMILIES), required=True)
-    p.add_argument("--n", type=int, help="size parameter for parametric families")
-    p.add_argument("-o", "--output", help="output file (default stdout)")
-    p.set_defaults(func=_cmd_gen)
-
+    for name, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == command:
+            _add_arguments(name, p)
     return parser
 
 
 def cli_main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(next((a for a in argv if a in _COMMANDS), None))
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return _COMMANDS[args.command][0](args)
     except (_UsageError, LatticeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 1)

@@ -20,14 +20,16 @@ import json
 from collections.abc import Iterable
 from itertools import chain, starmap
 from json.encoder import encode_basestring
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ._bits import pick
-from .orders import OrderRelation
 from .errors import ParseError
-from .intervals import SetFamilyPoset
 from .lattice import Interval, Lattice, build_lattice
-from .labeling import ArrowLabeling
+
+if TYPE_CHECKING:  # annotations only, so emitting a lattice loads no labeling
+    from .intervals import SetFamilyPoset
+    from .labeling import ArrowLabeling
+    from .orders import OrderRelation
 
 
 def parse_document(text: str) -> tuple[Lattice, dict[str, str] | None]:

@@ -6,10 +6,11 @@ Run with `pytest -v -s tests/test_acceptance.py` to see the lines.
 import json
 import random
 import time
+from collections import Counter
 
 import pytest
 
-from helpers import brute_semidistributive
+from helpers import brute_first_missing_meet, brute_semidistributive
 from kappalat import (
     bits_of,
     cjr,
@@ -245,3 +246,57 @@ def test_criterion_10_large_inputs_parse_fast():
     with pytest.raises(NotALattice):
         parse_lattice(poset)
     _report(10, "chain(5000), weak_dihedral(1000) and a 3000-element poset parse", time.perf_counter() - t0, 3.0)
+
+
+def _core_map(lat, lab):
+    """x -> index of core(x) among the wide members, or None where that map
+    is not onto the wide family or not injective; and the wide poset."""
+    wide = derived_poset(lat, lab, "wide")
+    index = {m: i for i, m in enumerate(wide.members)}
+    cores = [core_label(lat, lab, x) for x in range(lat.n)]
+    if set(cores) != set(index) or len(set(cores)) != lat.n:
+        return None, wide
+    return [index[c] for c in cores], wide
+
+
+def _is_lattice(n, hasse):
+    """Every pair has a meet and a join in the order with these Hasse pairs."""
+    dual = [(lower, upper) for upper, lower in hasse]
+    return brute_first_missing_meet(n, hasse) is None and brute_first_missing_meet(n, dual) is None
+
+
+def test_criterion_11_isomorphism_theorem():
+    # The wide label sets, the kappa order and the core label order are
+    # isomorphic posets, with x -> core(x) carrying clo onto the wide poset;
+    # on a Coxeter group's weak order clo is the shard intersection order,
+    # a graded lattice ranked by descents (Reading, arXiv:0909.3288).
+    t0 = time.perf_counter()
+    lattices = [gen_weak_sym(k) for k in range(3, 7)]
+    lattices += [gen_weak_dihedral(k) for k in range(2, 13)] + [gen_fig1(), gen_ex426()]
+    for lat in lattices:
+        lab = full_labeling(lat)
+        image, wide = _core_map(lat, lab)
+        assert image is not None
+        clo = order_poset(lat, lab, "clo")
+        assert {(image[u], image[l]) for u, l in clo.hasse} == set(wide.hasse)
+        assert clo.up == order_poset(lat, lab, "kappa").up
+    # rank sizes by descents: Eulerian numbers for S_n, 1/2m-2/1 for I_2(m)
+    graded = [(3, [1, 4, 1]), (4, [1, 11, 11, 1]), (5, [1, 26, 66, 26, 1])]
+    graded = [(gen_weak_sym(k), sizes) for k, sizes in graded]
+    graded += [(gen_weak_dihedral(m), [1, 2 * m - 2, 1]) for m in (3, 5, 8)]
+    for lat, rank_sizes in graded:
+        clo = order_poset(lat, full_labeling(lat), "clo")
+        assert _is_lattice(lat.n, clo.hasse)
+        descents = [len(lat.cover_downs[x]) for x in range(lat.n)]
+        assert all(descents[u] == descents[l] + 1 for u, l in clo.hasse)
+        assert sorted(Counter(descents).items()) == list(enumerate(rank_sizes))
+    # the negative case: ex424's wide family has more sets than elements,
+    # and its core label order is not a lattice
+    lat = gen_ex424()
+    lab = full_labeling(lat)
+    image, wide = _core_map(lat, lab)
+    assert image is None
+    assert {core_label(lat, lab, x) for x in range(lat.n)} < set(wide.members)
+    assert not _is_lattice(lat.n, order_poset(lat, lab, "clo").hasse)
+    _report(11, "wide poset, kappa order and clo are isomorphic; clo is the shard intersection lattice",
+            time.perf_counter() - t0, 5.0)

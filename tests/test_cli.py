@@ -301,8 +301,15 @@ class TestParserReuse:
     def test_parser_is_built_once(self, fig1_file, capsys):
         cli._build_parser.cache_clear()
         assert cli_main(["check", fig1_file]) == 0
-        assert cli_main(["cjr", fig1_file]) == 0
+        assert cli_main(["check", fig1_file]) == 0
         assert cli._build_parser.cache_info().misses == 1
+        assert cli_main(["cjr", fig1_file]) == 0
+        assert cli._build_parser.cache_info().misses == 2
+
+    def test_top_level_help_does_not_depend_on_the_command(self):
+        # each command's parser holds only that command's arguments
+        helps = {cli._build_parser(c).format_help() for c in [None, *cli._COMMANDS]}
+        assert len(helps) == 1
 
     def test_usage_error_after_success(self, fig1_file, capsys):
         cli._build_parser.cache_clear()

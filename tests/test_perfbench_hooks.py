@@ -25,6 +25,9 @@ def spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    # the package loads its modules on first use; a trace wraps loaded ones
+    for name, _, _ in module.ENTRY_POINTS:
+        importlib.import_module(name)
     return module
 
 
