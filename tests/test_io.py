@@ -262,6 +262,16 @@ def _old_relation_dot(lat, rel):
     return "\n".join(lines + ["}"]) + "\n"
 
 
+def _old_lattice_dot(lat, lab=None):
+    """Reference composition: quotes both ends, and the label, of every edge."""
+    lines = ["digraph lattice {", "  rankdir=TB;"]
+    lines += [f"  {_old_quote(name)};" for name in lat.names]
+    for u, l in lat.covers:
+        label = "" if lab is None else f" [label={_old_quote(lat.names[lab.gamma[u, l]])}]"
+        lines.append(f"  {_old_quote(lat.names[u])} -> {_old_quote(lat.names[l])}{label};")
+    return "\n".join(lines + ["}"]) + "\n"
+
+
 class TestDotWriters:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -270,6 +280,8 @@ class TestDotWriters:
         names = data.draw(st.lists(NAMES, min_size=base.n, max_size=base.n, unique=True))
         lat = renamed(base, names)
         lab = full_labeling(lat)
+        assert emit_dot(lat) == _old_lattice_dot(lat)
+        assert emit_dot(lat, lab) == _old_lattice_dot(lat, lab)
         for kind in KINDS:
             fam = derived_poset(lat, lab, kind)
             assert emit_family_dot(lat, fam) == _old_family_dot(lat, fam)
