@@ -29,16 +29,14 @@ _EXPORTS = {
     ],
     "io": ["emit_dot", "emit_lattice", "parse_lattice"],
     "labeling": [
-        "ArrowLabeling", "full_labeling", "is_semidistributive", "join_irreducibles",
-        "join_label", "kappa", "kappa_dual", "meet_irreducibles", "meet_label",
-        "semidistributive_witness",
+        "ArrowLabeling", "full_labeling", "join_irreducibles", "join_label", "kappa",
+        "kappa_dual", "meet_irreducibles", "meet_label", "semidistributive_witness",
     ],
     "lattice": ["Interval", "Lattice", "build_lattice"],
     "orders": [
-        "OrderRelation", "cjr", "clo_leq", "coincide_sufficient", "compare_orders",
-        "core_label", "extended_kappa", "extended_kappa_table", "first_order_mismatch",
-        "kappa_leq", "order_poset", "orders_coincide", "sufficiency_failures",
-        "verify_cjr_oracle", "x_down",
+        "OrderRelation", "cjr", "clo_leq", "compare_orders", "core_label",
+        "extended_kappa", "extended_kappa_table", "first_order_mismatch", "kappa_leq",
+        "order_poset", "sufficiency_failures", "verify_cjr_oracle", "x_down",
     ],
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -16,6 +16,7 @@ does, sees each call.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
 import sys
@@ -100,8 +101,7 @@ def _cmd_jlabel(args: argparse.Namespace) -> int:
 
     lat, lab = _labeled(args.file)
     iv = (lat.id_of(args.lower), lat.id_of(args.upper))
-    fn = intervals.jlabel_scan if args.scan else intervals.jlabel
-    mask = fn(lat, lab, iv)
+    mask = intervals.jlabel(lat, lab, iv)
     print(f"jlabel[{args.lower}, {args.upper}] = {_set_str(lat, mask)}")
     return 0
 
@@ -210,7 +210,6 @@ def _add_arguments(command: str, p: _Parser) -> None:
     elif command == "jlabel":
         p.add_argument("--lower", required=True)
         p.add_argument("--upper", required=True)
-        p.add_argument("--scan", action="store_true", help="use the arrow-scan method")
     elif command == "posets":
         from . import intervals
 
@@ -249,8 +248,7 @@ def _build_parser(command: str | None) -> _Parser:
     return parser
 
 
-def cli_main(argv: Sequence[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+def cli_main(argv: Sequence[str]) -> int:
     parser = _build_parser(next((a for a in argv if a in _COMMANDS), None))
     try:
         args = parser.parse_args(argv)
@@ -263,8 +261,13 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
 def main() -> None:
     code = 0  # also when the reader closes stdout early, which is no error
     try:
+        if sys.stdout is None:  # started with fd 1 closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         code = cli_main(sys.argv[1:])
         sys.stdout.flush()
-    except BrokenPipeError:  # fd 1 goes to devnull so the flush at exit stays quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:  # from stdout: the commands report failed reads and -o writes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)  # so the flush at exit stays quiet
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+            code = 1
     sys.exit(code)

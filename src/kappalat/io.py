@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any
 
 from ._bits import pick
 from .errors import ParseError
-from .lattice import Interval, Lattice, build_lattice
+from .lattice import Lattice, build_lattice
 
 if TYPE_CHECKING:  # annotations only, so emitting a lattice loads no labeling
     from .intervals import SetFamilyPoset
@@ -137,33 +137,13 @@ def _digraph(name: str, statements: Iterable[str]) -> str:
     return "".join([f"digraph {name} {{\n  rankdir=TB;\n", *lines, "}\n"])
 
 
-def emit_dot(
-    lattice: Lattice,
-    labeling: ArrowLabeling | None = None,
-    highlight_interval: Interval | None = None,
-) -> str:
-    """Hasse quiver as DOT: arrows from covering to covered element.
-
-    With a labeling, each edge carries its join-irreducible label; with
-    an interval, the elements inside it are shaded.
-    """
-    inside = 0
-    if highlight_interval is not None:
-        a, b = lattice.check_interval(highlight_interval)
-        inside = lattice.up[a] & lattice.down[b]
+def emit_dot(lattice: Lattice, labeling: ArrowLabeling | None = None) -> str:
+    """Hasse quiver as DOT, arrows from covering to covered element, labeled by gamma if given."""
     quoted = [_quote(name) for name in lattice.names]
-    statements = []
-    for x in range(lattice.n):
-        attrs = ""
-        if (inside >> x) & 1:
-            attrs = " [style=filled, fillcolor=lightgrey]"
-        statements.append(f"{quoted[x]}{attrs}")
-    for u, l in lattice.covers:
-        label = ""
-        if labeling is not None:
-            label = f" [label={quoted[labeling.gamma[(u, l)]]}]"
-        statements.append(f"{quoted[u]} -> {quoted[l]}{label}")
-    return _digraph("lattice", statements)
+    edges = [f"{quoted[u]} -> {quoted[l]}" for u, l in lattice.covers]
+    if labeling is not None:
+        edges = [f"{e} [label={quoted[labeling.gamma[c]]}]" for e, c in zip(edges, lattice.covers)]
+    return _digraph("lattice", chain(quoted, edges))
 
 
 def family_document(lattice: Lattice, family: SetFamilyPoset) -> dict[str, Any]:

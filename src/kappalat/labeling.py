@@ -47,10 +47,6 @@ def semidistributive_witness(lattice: Lattice) -> SdViolation | None:
     return SdViolation(*hit)
 
 
-def is_semidistributive(lattice: Lattice) -> bool:
-    return semidistributive_witness(lattice) is None
-
-
 def join_irreducibles(lattice: Lattice) -> int:
     """Bitmask of elements x with star_down(x) != x (exactly one lower cover)."""
     return mask_of(x for x, lowers in enumerate(lattice.cover_downs) if len(lowers) == 1)

@@ -279,17 +279,9 @@ def first_order_mismatch(lattice: Lattice, labeling: ArrowLabeling) -> tuple[int
     return compare_orders(lattice, labeling)[0]
 
 
-def orders_coincide(lattice: Lattice, labeling: ArrowLabeling) -> bool:
-    return first_order_mismatch(lattice, labeling) is None
-
-
 def sufficiency_failures(lattice: Lattice, labeling: ArrowLabeling) -> tuple[int, ...]:
     """Elements where the core label set differs from the kappa-bounded one.
 
     See compare_orders for the condition.
     """
     return compare_orders(lattice, labeling)[1]
-
-
-def coincide_sufficient(lattice: Lattice, labeling: ArrowLabeling) -> bool:
-    return not sufficiency_failures(lattice, labeling)

@@ -15,7 +15,7 @@ from kappalat import (
     bits_of,
     cjr,
     clo_leq,
-    coincide_sufficient,
+    compare_orders,
     core_label,
     derived_poset,
     down_jlabel,
@@ -32,14 +32,13 @@ from kappalat import (
     gen_weak_dihedral,
     gen_weak_sym,
     is_ice_interval,
-    is_semidistributive,
     is_wide_interval,
     jlabel,
     jlabel_scan,
     kappa_leq,
     order_poset,
-    orders_coincide,
     parse_lattice,
+    semidistributive_witness,
     sufficiency_failures,
     up_jlabel,
     verify_cjr_oracle,
@@ -131,12 +130,12 @@ def test_criterion_4_divergent_example():
     t0 = time.perf_counter()
     lat = gen_ex424()
     lab = full_labeling(lat)
-    assert not orders_coincide(lat, lab)
+    assert compare_orders(lat, lab)[0] is not None
     x, y = first_order_mismatch(lat, lab)
     assert (lat.names[x], lat.names[y]) == ("j4", "x")
     assert clo_leq(lat, lab, x, y) and not kappa_leq(lat, lab, x, y)
     failures = sufficiency_failures(lat, lab)
-    assert not coincide_sufficient(lat, lab)
+    assert compare_orders(lat, lab)[1]
     assert lat.names[failures[0]] == "x"
     _report(4, "ex424 orders diverge at (j4, x); sufficiency fails first at x", time.perf_counter() - t0, 0.1)
 
@@ -196,7 +195,7 @@ def test_criterion_7_small_oracles():
     for name, lat in _fresh_corpus():
         if lat.n > 12:
             continue
-        assert is_semidistributive(lat) == brute_semidistributive(lat)
+        assert (semidistributive_witness(lat) is None) == brute_semidistributive(lat)
         lab = full_labeling(lat)
         for x in range(lat.n):
             assert verify_cjr_oracle(lat, x, cjr(lat, lab, x))
@@ -209,8 +208,7 @@ def test_criterion_8_weak_orders():
         gen_weak_dihedral(n) for n in range(2, 13)
     ]:
         lab = full_labeling(lat)
-        assert orders_coincide(lat, lab)
-        assert coincide_sufficient(lat, lab)
+        assert compare_orders(lat, lab) == (None, ())
     _report(8, "kappa and core label orders coincide on all weak orders", time.perf_counter() - t0, 30.0)
 
 
@@ -218,8 +216,7 @@ def test_criterion_8_weak_sym_6():
     t0 = time.perf_counter()
     lat = gen_weak_sym(6)
     lab = full_labeling(lat)
-    assert orders_coincide(lat, lab)
-    assert coincide_sufficient(lat, lab)
+    assert compare_orders(lat, lab) == (None, ())
     _report(8, "weak_sym(6) orders coincide", time.perf_counter() - t0, 30.0)
 
 

@@ -9,7 +9,7 @@ from kappalat import (
     bits_of,
     cjr,
     clo_leq,
-    coincide_sufficient,
+    compare_orders,
     core_label,
     down_jlabel,
     extended_kappa,
@@ -26,7 +26,6 @@ from kappalat import (
     kappa_leq,
     mask_of,
     order_poset,
-    orders_coincide,
     sufficiency_failures,
     up_jlabel,
     verify_cjr_oracle,
@@ -258,33 +257,34 @@ class TestOrders:
     def test_coincide(self):
         lat = gen_fig1()
         lab = full_labeling(lat)
-        assert orders_coincide(lat, lab)
+        assert compare_orders(lat, lab)[0] is None
         sym3 = gen_weak_sym(3)
-        assert orders_coincide(sym3, full_labeling(sym3))
+        assert compare_orders(sym3, full_labeling(sym3))[0] is None
 
     def test_ex424_divergence(self):
         lat = gen_ex424()
         lab = full_labeling(lat)
-        assert not orders_coincide(lat, lab)
+        assert compare_orders(lat, lab)[0] is not None
         x, y = first_order_mismatch(lat, lab)
         assert (lat.names[x], lat.names[y]) == ("j4", "x")
 
     def test_sufficient_condition(self):
         lat = gen_fig1()
         lab = full_labeling(lat)
-        assert coincide_sufficient(lat, lab)
+        assert not compare_orders(lat, lab)[1]
         lat = gen_ex424()
         lab = full_labeling(lat)
         failures = sufficiency_failures(lat, lab)
         assert failures and lat.names[failures[0]] == "x"
         for n in range(2, 7):
             dih = gen_weak_dihedral(n)
-            assert coincide_sufficient(dih, full_labeling(dih))
+            assert not compare_orders(dih, full_labeling(dih))[1]
 
     def test_sufficient_implies_coincide(self):
         for _, lat, lab in labeled_corpus():
-            if coincide_sufficient(lat, lab):
-                assert orders_coincide(lat, lab)
+            mismatch, failures = compare_orders(lat, lab)
+            if not failures:
+                assert mismatch is None
 
     def test_bad_kind(self):
         lat = gen_a2()

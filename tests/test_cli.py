@@ -1,7 +1,10 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import argparse
+import errno
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -103,11 +106,10 @@ class TestJlabel:
         assert cli_main(["jlabel", fig1_file, "--lower", "3", "--upper", "2*"]) == 0
         assert capsys.readouterr().out.strip() == "jlabel[3, 2*] = {1, 4}"
 
-    def test_scan_agrees(self, fig1_file, capsys):
-        cli_main(["jlabel", fig1_file, "--lower", "3", "--upper", "2*"])
-        plain = capsys.readouterr().out
-        cli_main(["jlabel", fig1_file, "--lower", "3", "--upper", "2*", "--scan"])
-        assert capsys.readouterr().out == plain
+    def test_scan_is_a_usage_error(self, fig1_file, capsys):
+        assert cli_main(["jlabel", fig1_file, "--lower", "3", "--upper", "2*", "--scan"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: unrecognized arguments: --scan\n")
 
     def test_bad_element_exits_4(self, fig1_file):
         assert cli_main(["jlabel", fig1_file, "--lower", "9", "--upper", "2*"]) == 4
@@ -246,6 +248,37 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "orders coincide: yes" in out
         assert "sufficient condition: holds" in out
+
+
+def _readme_cli_options() -> dict[str, set[str]]:
+    """The option strings each subcommand names in README's fenced block under ## CLI."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    named: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        command = line.split(" #", 1)[0]
+        named.setdefault(command.split()[1], set()).update(
+            re.findall(r"(?<![\w-])--?[a-z][\w-]*", command)
+        )
+    return named
+
+
+class TestReadmeCli:
+    def test_every_subcommand_is_shown(self):
+        assert set(_readme_cli_options()) == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_options_match_the_parser(self, command):
+        parser = cli._build_parser(command)
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        actions = [a.option_strings for a in subparsers.choices[command]._actions]
+        actions = [opts for opts in actions if opts and "--help" not in opts]
+        named = _readme_cli_options()[command]
+        # either alias of an option names it, such as -o for --output
+        unnamed = [opts for opts in actions if not named.intersection(opts)]
+        unknown = named.difference(*actions)
+        assert (unnamed, unknown) == ([], set())
 
 
 class TestGen:
@@ -451,6 +484,13 @@ class TestUnreadableInputs:
         assert err == "error: names and meta strings must not hold lone surrogates\n"
 
 
+def _module_command(*args):
+    """A python -m kappalat command line and the environment that imports this package."""
+    src = str(Path(kappalat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return [sys.executable, "-m", "kappalat", *args], env
+
+
 class TestClosedPipe:
     """A reader that closes stdout early: exit 0 and nothing on stderr."""
 
@@ -460,15 +500,34 @@ class TestClosedPipe:
         # command is still writing when the reader closes its end
         path = tmp_path / "weak_dihedral300.json"
         path.write_text(emit_lattice(gen_weak_dihedral(300)), encoding="utf-8")
-        src = str(Path(kappalat.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "kappalat", argv[0], str(path), *argv[1:]],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-        )
+        command, env = _module_command(argv[0], str(path), *argv[1:])
+        proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         assert len(proc.stdout.read(100)) == 100
         proc.stdout.close()
         err = proc.stderr.read()
         assert (proc.wait(timeout=60), err) == (0, b"")
+
+
+class TestUnwritableStdout:
+    """A stdout that takes no output: exit 1 and one error line, no traceback."""
+
+    ARGVS = [["check", "{fig1}"], ["gen", "--family", "fig1"]]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", ARGVS, ids=["check", "gen"])
+    def test_full_device(self, argv, fig1_file):
+        command, env = _module_command(*(a.format(fig1=fig1_file) for a in argv))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(command, stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+        reason = os.strerror(errno.ENOSPC)
+        assert (proc.returncode, proc.stderr) == (1, f"error: cannot write output: {reason}\n")
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes fd 1 with a POSIX shell")
+    @pytest.mark.parametrize("argv", ARGVS, ids=["check", "gen"])
+    def test_closed_stdout(self, argv, fig1_file):
+        command, env = _module_command(*(a.format(fig1=fig1_file) for a in argv))
+        # the shell runs the command with fd 1 closed, so sys.stdout is None
+        shell = ["sh", "-c", 'exec "$0" "$@" >&-', *command]
+        proc = subprocess.run(shell, stderr=subprocess.PIPE, text=True, env=env)
+        reason = os.strerror(errno.EBADF)
+        assert (proc.returncode, proc.stderr) == (1, f"error: cannot write output: {reason}\n")

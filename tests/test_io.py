@@ -167,13 +167,6 @@ class TestDot:
                 tally[line.split('label="')[1].split('"')[0]] += 1
         assert tally == {"1": 5, "2": 4, "3": 5, "4": 2, "5": 2}
 
-    def test_highlight_shades_interval(self):
-        lat = gen_fig1()
-        iv = (lat.id_of("3"), lat.id_of("2*"))
-        dot = emit_dot(lat, highlight_interval=iv)
-        inside = lat.up[iv[0]] & lat.down[iv[1]]
-        assert dot.count("fillcolor") == inside.bit_count()
-
     def test_deterministic(self):
         lat = gen_fig1()
         lab = full_labeling(lat)

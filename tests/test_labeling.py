@@ -30,7 +30,6 @@ from kappalat import (
     gen_ex424,
     gen_ex426,
     gen_fig1,
-    is_semidistributive,
     join_irreducibles,
     join_label,
     kappa,
@@ -115,21 +114,21 @@ def chain_under_m3(length):
 class TestSemidistributivity:
     def test_m3_fails_with_witness(self):
         lat = m3()
-        assert not is_semidistributive(lat)
+        assert semidistributive_witness(lat) is not None
         w = semidistributive_witness(lat)
         assert w.law == "join"
         assert (lat.names[w.a], lat.names[w.x], lat.names[w.y]) == ("a", "b", "c")
 
     def test_fixed_lattices_pass(self):
         for gen in (gen_fig1, gen_a2, gen_ex424, gen_ex426):
-            assert is_semidistributive(gen())
+            assert semidistributive_witness(gen()) is None
 
     def test_distributive_passes(self):
-        assert is_semidistributive(gen_boolean(3))
+        assert semidistributive_witness(gen_boolean(3)) is None
 
     def test_agrees_with_subset_definition(self):
         for _, lat in small_corpus(12):
-            assert is_semidistributive(lat) == brute_semidistributive(lat)
+            assert (semidistributive_witness(lat) is None) == brute_semidistributive(lat)
         assert brute_semidistributive(m3()) is False
 
     def test_full_labeling_rejects_m3(self):

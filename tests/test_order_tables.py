@@ -35,11 +35,11 @@ from kappalat import (
     full_labeling,
     gen_fig1,
     gen_weak_sym,
-    is_semidistributive,
     jlabel,
     kappa_leq,
     mask_of,
     order_poset,
+    semidistributive_witness,
     sufficiency_failures,
 )
 from kappalat.cli import cli_main
@@ -85,7 +85,7 @@ def _tables_match_pointwise(lat, lab):
 
 def _sd_lattice(order):
     lat = build(*order)
-    assume(is_semidistributive(lat))
+    assume(semidistributive_witness(lat) is None)
     return lat, full_labeling(lat)
 
 
