@@ -130,12 +130,10 @@ def test_criterion_4_divergent_example():
     t0 = time.perf_counter()
     lat = gen_ex424()
     lab = full_labeling(lat)
-    assert compare_orders(lat, lab)[0] is not None
     x, y = first_order_mismatch(lat, lab)
     assert (lat.names[x], lat.names[y]) == ("j4", "x")
     assert clo_leq(lat, lab, x, y) and not kappa_leq(lat, lab, x, y)
     failures = sufficiency_failures(lat, lab)
-    assert compare_orders(lat, lab)[1]
     assert lat.names[failures[0]] == "x"
     _report(4, "ex424 orders diverge at (j4, x); sufficiency fails first at x", time.perf_counter() - t0, 0.1)
 

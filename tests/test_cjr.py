@@ -264,7 +264,6 @@ class TestOrders:
     def test_ex424_divergence(self):
         lat = gen_ex424()
         lab = full_labeling(lat)
-        assert compare_orders(lat, lab)[0] is not None
         x, y = first_order_mismatch(lat, lab)
         assert (lat.names[x], lat.names[y]) == ("j4", "x")
 

@@ -114,7 +114,6 @@ def chain_under_m3(length):
 class TestSemidistributivity:
     def test_m3_fails_with_witness(self):
         lat = m3()
-        assert semidistributive_witness(lat) is not None
         w = semidistributive_witness(lat)
         assert w.law == "join"
         assert (lat.names[w.a], lat.names[w.x], lat.names[w.y]) == ("a", "b", "c")
