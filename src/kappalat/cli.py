@@ -21,6 +21,7 @@ import functools
 import os
 import sys
 from collections.abc import Sequence
+from typing import TextIO
 
 from . import io
 from ._bits import bits_of
@@ -35,6 +36,16 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
+
+    def _print_message(self, message: str, file: TextIO | None = None) -> None:
+        """Write and flush help or usage, letting a failed write reach main().
+
+        argparse's own version swallows the OSError and then exits 0.
+        """
+        if message:
+            file = file or sys.stderr
+            file.write(message)
+            file.flush()
 
 
 def _load(path: str) -> Lattice:

@@ -5,15 +5,16 @@ kappa(j) >= a; equivalently (and this is checked exhaustively in the
 test suite) the join-irreducible labels of the Hasse arrows lying
 inside [a, b].  Restricting the interval family to wide or ICE
 intervals and ordering the distinct label sets by inclusion produces
-the three derived posets this package exists to compute.
+the three derived posets this package exists to compute, each a
+SetFamilyPoset named tuple.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
+from typing import NamedTuple
 
 from . import _backend
 from ._bits import bits_of, mask_of, pick
@@ -180,8 +181,7 @@ def supersets(sets: Sequence[int]) -> list[int]:
     return [reduce(and_, pick(col, s), full) for s in sets]
 
 
-@dataclass(frozen=True)
-class SetFamilyPoset:
+class SetFamilyPoset(NamedTuple):
     """Distinct label sets of an interval family, ordered by inclusion.
 
     members are element bitmasks (over lattice ids, expanded from the

@@ -4,11 +4,12 @@ Every Hasse arrow a -> b of a semidistributive lattice carries a
 join-irreducible label (the least x with b v x = a) and a meet-irreducible
 label (the greatest x with a ^ x = b); restricting those labelings to the
 arrows under join-irreducibles yields the kappa bijection jirr <-> mirr.
+The results, SdViolation and ArrowLabeling, are named tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _backend
 from ._bits import bits_of, mask_of
@@ -22,8 +23,7 @@ from .errors import (
 from .lattice import Lattice
 
 
-@dataclass(frozen=True)
-class SdViolation:
+class SdViolation(NamedTuple):
     """A triple breaking one of the pairwise semidistributive laws."""
 
     law: str  # "join" or "meet"
@@ -120,8 +120,7 @@ def kappa_dual(lattice: Lattice, m: int) -> int:
     return join_label(lattice, (ups[0], m))
 
 
-@dataclass(frozen=True)
-class ArrowLabeling:
+class ArrowLabeling(NamedTuple):
     """Both arrow labelings plus the kappa tables of one lattice.
 
     gamma/mu are keyed by (upper, lower) cover pairs; kappa maps each

@@ -1,19 +1,19 @@
 """Finite bounded lattices presented by their Hasse quiver.
 
 A lattice is built once from (names, cover pairs), validated, and then
-queried through pure methods.  Elements are addressed by dense ids
-assigned in a deterministic linear extension from the bottom; element
-sets are int bitmasks over those ids (see kappalat._bits).
+queried through pure methods; Lattice is an immutable slotted class
+compared by value.  Elements are addressed by dense ids assigned in a
+deterministic linear extension from the bottom; element sets are int
+bitmasks over those ids (see kappalat._bits).
 """
 
 from __future__ import annotations
 
 import heapq
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import starmap
-from operator import and_, eq, gt
+from operator import and_, attrgetter, eq, gt
 from typing import NoReturn
 
 from . import _backend
@@ -35,8 +35,10 @@ MAX_ELEMENTS = 5000
 
 Interval = tuple[int, int]
 
+# the fields Lattice equality and hashing read
+_compared = attrgetter("names", "up", "down", "covers")
 
-@dataclass(frozen=True)
+
 class Lattice:
     """Validated finite bounded lattice; immutable after construction.
 
@@ -46,15 +48,40 @@ class Lattice:
     cover_downs[x] are the upper / lower covers of x in ascending id
     order.  Ids form a linear extension: x < y in the lattice implies
     id(x) < id(y).
+
+    A slotted class whose fields refuse assignment and deletion.  Two
+    lattices are equal, with equal hashes, when their names, up, down
+    and covers are; the other fields are derived from those.
     """
 
-    names: tuple[str, ...]
-    up: tuple[int, ...]
-    down: tuple[int, ...]
-    covers: tuple[tuple[int, int], ...]
-    _index: dict[str, int] = field(repr=False, compare=False)
-    cover_ups: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
-    cover_downs: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+    __slots__ = ("names", "up", "down", "covers", "_index", "cover_ups", "cover_downs")
+
+    # parameters unannotated: their annotations add ~130 kB to the peak
+    # memory of compiling this module, the peak of an import from source
+    def __init__(self, names, up, down, covers, _index, cover_ups, cover_downs) -> None:
+        fields = (names, up, down, covers, _index, cover_ups, cover_downs)
+        for name, value in zip(Lattice.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> NoReturn:
+        raise AttributeError(
+            f"cannot assign {type(value).__name__} to {name!r}: Lattice is immutable"
+        )
+
+    def __delattr__(self, name: str) -> NoReturn:
+        raise AttributeError(f"cannot delete {name!r}: Lattice is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Lattice:
+            return NotImplemented
+        return _compared(self) == _compared(other)
+
+    def __hash__(self) -> int:
+        return hash(_compared(self))
+
+    def __reduce__(self) -> tuple[type[Lattice], tuple[object, ...]]:
+        """Pickle and copy through __init__, since __setattr__ refuses."""
+        return Lattice, tuple(map(self.__getattribute__, Lattice.__slots__))
 
     @property
     def n(self) -> int:

@@ -19,12 +19,13 @@ costs a few mask operations per element; both orders refine the lattice
 order, so they are partial orders with no check (see order_poset).  The
 single-element functions (cjr, extended_kappa, core_label, kappa_leq,
 clo_leq) compute from the definitions and serve as their oracle.
+order_poset returns an OrderRelation, a named tuple.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _backend
 from ._bits import bits_of, lowest_bit
@@ -165,8 +166,7 @@ def clo_leq(lattice: Lattice, labeling: ArrowLabeling, x: int, y: int) -> bool:
     return core_label(lattice, labeling, x) & ~core_label(lattice, labeling, y) == 0
 
 
-@dataclass(frozen=True)
-class OrderRelation:
+class OrderRelation(NamedTuple):
     """A derived partial order on the lattice elements.
 
     up[x] is the bitmask of {y | x <= y} in the derived order (element

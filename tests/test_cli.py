@@ -484,6 +484,10 @@ class TestUnreadableInputs:
         assert err == "error: names and meta strings must not hold lone surrogates\n"
 
 
+# help requests, which argparse writes and then exits on
+HELP_ARGVS = [["-h"], ["check", "-h"]]
+
+
 def _module_command(*args):
     """A python -m kappalat command line and the environment that imports this package."""
     src = str(Path(kappalat.__file__).resolve().parent.parent)
@@ -507,23 +511,40 @@ class TestClosedPipe:
         err = proc.stderr.read()
         assert (proc.wait(timeout=60), err) == (0, b"")
 
+    @pytest.mark.parametrize("argv", HELP_ARGVS, ids=["h", "check-h"])
+    def test_help_exit_0_and_quiet(self, argv):
+        command, env = _module_command(*argv)
+        for unbuffered in ("", "1"):
+            env["PYTHONUNBUFFERED"] = unbuffered
+            proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+            # closed long before the interpreter is up, so the help text meets a closed pipe
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=60), err) == (0, b"")
+
 
 class TestUnwritableStdout:
     """A stdout that takes no output: exit 1 and one error line, no traceback."""
 
-    ARGVS = [["check", "{fig1}"], ["gen", "--family", "fig1"]]
+    ARGVS = [["check", "{fig1}"], ["gen", "--family", "fig1"], *HELP_ARGVS]
+    IDS = ["check", "gen", "h", "check-h"]
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    @pytest.mark.parametrize("argv", ARGVS, ids=["check", "gen"])
+    @pytest.mark.parametrize("argv", ARGVS, ids=IDS)
     def test_full_device(self, argv, fig1_file):
         command, env = _module_command(*(a.format(fig1=fig1_file) for a in argv))
-        with open("/dev/full", "w") as full:
-            proc = subprocess.run(command, stdout=full, stderr=subprocess.PIPE, text=True, env=env)
         reason = os.strerror(errno.ENOSPC)
-        assert (proc.returncode, proc.stderr) == (1, f"error: cannot write output: {reason}\n")
+        # buffered, the flush fails; unbuffered, the write itself
+        for unbuffered in ("", "1"):
+            env["PYTHONUNBUFFERED"] = unbuffered
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run(
+                    command, stdout=full, stderr=subprocess.PIPE, text=True, env=env
+                )
+            assert (proc.returncode, proc.stderr) == (1, f"error: cannot write output: {reason}\n")
 
     @pytest.mark.skipif(os.name != "posix", reason="closes fd 1 with a POSIX shell")
-    @pytest.mark.parametrize("argv", ARGVS, ids=["check", "gen"])
+    @pytest.mark.parametrize("argv", ARGVS, ids=IDS)
     def test_closed_stdout(self, argv, fig1_file):
         command, env = _module_command(*(a.format(fig1=fig1_file) for a in argv))
         # the shell runs the command with fd 1 closed, so sys.stdout is None

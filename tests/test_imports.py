@@ -4,7 +4,10 @@
 use.  The command line loads what parsing, the lattice test and the
 emitters need, and each command adds only the modules it runs.  The
 interpreter runs with ``-S``, so no site hook preloads a module, and
-the pins also keep ``pathlib`` off the command-line path.
+the pins also keep ``pathlib``, ``dataclasses`` and ``inspect`` (slow to
+import: ``dataclasses`` loads ``inspect``, which loads ``ast``, ``dis``
+and ``tokenize``) off every path, the full ``from kappalat import *``
+included.
 """
 
 import os
@@ -26,11 +29,12 @@ CLI = {
     "kappalat.io",
     "kappalat.lattice",
 }
-# prepended to each program: print the loaded package modules (and pathlib) at exit
+# prepended to each program: print the loaded package modules (and the
+# standard modules kept off every path) at exit
 REPORT = (
     "import atexit, sys\n"
-    "atexit.register(lambda: print(*sorted(m for m in sys.modules"
-    " if m.partition('.')[0] in ('kappalat', 'pathlib')), file=sys.stderr))\n"
+    "atexit.register(lambda: print(*sorted(m for m in sys.modules if m.partition('.')[0]"
+    " in ('kappalat', 'pathlib', 'dataclasses', 'inspect')), file=sys.stderr))\n"
 )
 
 
@@ -53,6 +57,15 @@ def test_package_import_loads_no_submodule(tmp_path):
 
 def test_cli_import_loads_parse_build_and_emit(tmp_path):
     assert loaded("import kappalat.cli", tmp_path) == CLI
+
+
+def test_star_import_loads_every_library_module_only(tmp_path):
+    library = {
+        "kappalat", "kappalat._backend", "kappalat._bits", "kappalat.errors",
+        "kappalat.generators", "kappalat.intervals", "kappalat.io", "kappalat.labeling",
+        "kappalat.lattice", "kappalat.orders",
+    }
+    assert loaded("from kappalat import *", tmp_path) == library
 
 
 # a command's argv, and the modules it adds to those of CLI

@@ -7,7 +7,6 @@ which compute one element or one interval from the definitions, on the
 labeled corpus and on random semidistributive lattices.
 """
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -177,7 +176,7 @@ def test_clo_order_checks_each_element_joins_its_core_labels():
     # without kappa_dual every kge mask, hence every core label set, is
     # empty, and the first element above the bottom is not their join
     lat = gen_fig1()
-    bad = dataclasses.replace(full_labeling(lat), kappa_dual={})
+    bad = full_labeling(lat)._replace(kappa_dual={})
     with pytest.raises(InternalInvariant, match=r"^'1' is not the join of its core label set$"):
         order_poset(lat, bad, "clo")
 
@@ -193,7 +192,7 @@ def test_table_fails_where_pointwise_fails_first(name):
                 continue
             gamma = dict(lab.gamma)
             gamma[arrow] = label
-            bad = dataclasses.replace(lab, gamma=gamma)
+            bad = lab._replace(gamma=gamma)
             messages = []
             for x in range(lat.n):
                 try:
