@@ -234,8 +234,8 @@ def interval_images(
     interval.  The caller picks the intervals through tops (up[a] for
     all of them, or the tops of the wide or ICE intervals at a).  belowj
     and kge are caller-compressed masks over join-irreducible positions,
-    so the keys of the result are compressed masks too: bit p stands for
-    the p-th join-irreducible in id order.  The sweep stops at the first
+    so the keys of the result are compressed masks too, with the caller's
+    bit for each join-irreducible.  The sweep stops at the first
     set past cap, so a result of more than cap sets holds exactly cap + 1.
     """
     images: dict[int, tuple[int, int]] = {}

@@ -47,7 +47,8 @@ def label_tables(
 
     belowj[b] marks the join-irreducibles j <= b and kge[a] those with
     kappa(j) >= a, each j as the mask bit jbit[j] (1 << j for element
-    masks, 1 << position for masks compressed to the join-irreducibles).
+    masks, one bit per position for masks compressed to the
+    join-irreducibles).
     belowj is or_below over the bits of the join-irreducibles, kge is
     or_above over the bit of kappa_dual(a) at each meet-irreducible a, so
     each costs one OR per cover.
@@ -161,13 +162,20 @@ def _too_many(kind: str) -> TooLarge:
 def supersets(sets: Sequence[int]) -> list[int]:
     """For each set, the bitmask of indices k with sets[k] a superset of it.
 
-    sets are int bitmasks over any ground set (derived_poset passes label
-    sets compressed to join-irreducible positions, order_poset element
-    masks).  Built from label columns: col[p] marks the sets containing
-    p, and the supersets of a set are the AND of the columns of its
-    elements.  The columns come from transposing the sets' bytes, eight
-    positions per byte column, so each set's bits are walked only once,
-    by ``pick``.
+    sets are int bitmasks over any ground set, in any order, repeats
+    allowed (derived_poset passes label sets compressed to
+    join-irreducible positions, order_poset element masks).  Built from
+    label columns: col[p] marks the sets containing p, and the supersets
+    of S are sup(S) = the AND of col[q] over q in S (all sets for S
+    empty).  The columns come from transposing the sets' bytes, eight
+    positions per byte column.
+
+    Most rows cost one AND: if S is nonempty with lowest bit p and its
+    parent S - {p} came earlier, sup(S) = sup(S - {p}) & col[p] by the
+    identity above.  Only a set whose parent has not been seen is ANDed
+    over all its columns.  The shortcut reads rows already built, so it
+    holds for any input order; in derived_poset's order (cardinality
+    first) every parent in the family comes before its child.
     """
     full = (1 << len(sets)) - 1
     union = reduce(or_, sets, 0)
@@ -178,19 +186,32 @@ def supersets(sets: Sequence[int]) -> list[int]:
         # byte p // 8 of every set, as "0"/"1" digits with set 0 last
         digits = rows[p >> 3 :: width].translate(_DIGIT_OF_BIT[p & 7])
         col[p] = int(digits[::-1], 2)
-    return [reduce(and_, pick(col, s), full) for s in sets]
+    up = []
+    row_of: dict[int, int] = {}  # each set seen so far -> its row
+    for s in sets:
+        low = s & -s
+        parent = row_of.get(s ^ low) if s else None
+        if parent is None:
+            row = reduce(and_, pick(col, s), full)
+        else:
+            row = parent & col[low.bit_length() - 1]
+        row_of[s] = row
+        up.append(row)
+    return up
 
 
 class SetFamilyPoset(NamedTuple):
     """Distinct label sets of an interval family, ordered by inclusion.
 
-    members are element bitmasks (over lattice ids, expanded from the
-    compressed label sets derived_poset sorts) in canonical order:
+    members are element bitmasks (over lattice ids) in canonical order:
     cardinality, then lexicographic over the ascending member ids.  hasse
     holds (upper, lower) index pairs into members and is the transitive
     reduction of inclusion.
     witnesses[i] is the first interval (in lex enumeration order) whose
     label set is members[i]; later intervals may map to the same set.
+    derived_poset reads each member off its witness [a, b] as
+    belowj[b] & kge[a] (see label_tables), since that is the label set
+    of [a, b].
     """
 
     kind: str
@@ -211,8 +232,11 @@ def derived_poset(lattice: Lattice, labeling: ArrowLabeling, kind: str) -> SetFa
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     tops = interval_tops(lattice, kind)
     jirr_ids = list(bits_of(labeling.jirr))
-    # compressed masks over join-irreducible positions: one AND per interval
-    belowj, kge = label_tables(lattice, labeling, {j: 1 << p for p, j in enumerate(jirr_ids)})
+    # compressed masks, one AND per interval: the p-th join-irreducible in
+    # id order is bit w - 1 - p, so the lowest id is the highest bit
+    w = len(jirr_ids)
+    jbit = {j: 1 << (w - 1 - p) for p, j in enumerate(jirr_ids)}
+    belowj, kge = label_tables(lattice, labeling, jbit)
 
     images = _backend.interval_images(belowj, kge, tops, MAX_LABEL_SETS)
     if len(images) > MAX_LABEL_SETS:
@@ -220,18 +244,21 @@ def derived_poset(lattice: Lattice, labeling: ArrowLabeling, kind: str) -> SetFa
             f"more than {MAX_LABEL_SETS} distinct {kind} label sets; the cap is {MAX_LABEL_SETS}"
         )
 
-    # Canonical order: cardinality, then ascending-bit lex order.  Positions
-    # follow id order, and among sets of one cardinality that lex order is
-    # the string order of the complement written lowest bit first.
-    w = len(jirr_ids)
-    full = (1 << w) - 1
-    order = sorted(images, key=lambda pm: (pm.bit_count(), format(pm ^ full, f"0{w}b")[::-1]))
+    # Canonical order: cardinality, then lex over ascending ids.  For sets
+    # A != B of one cardinality, A comes first iff min(A ^ B) lies in A;
+    # min(A ^ B) is the highest bit of the compressed masks' XOR, so A comes
+    # first iff its mask is the greater.  Hence a descending sort, then a
+    # stable sort by cardinality.
+    order = sorted(images, reverse=True)
+    order.sort(key=int.bit_count)
     # sets sorted by cardinality form a linear extension of inclusion
     hasse = _backend.transitive_reduction(supersets(order))
-    jbits = [1 << j for j in jirr_ids]
+    witnesses = list(map(images.__getitem__, order))
+    # each member as an element mask: the label set of its witness [a, b]
+    belowj, kge = label_tables(lattice, labeling, {j: 1 << j for j in jirr_ids})
     return SetFamilyPoset(
         kind=kind,
-        members=tuple(sum(pick(jbits, pm)) for pm in order),
+        members=tuple([belowj[b] & kge[a] for a, b in witnesses]),
         hasse=tuple(hasse),
-        witnesses=tuple(images[pm] for pm in order),
+        witnesses=tuple(witnesses),
     )

@@ -112,6 +112,9 @@ def _document(fields: dict[str, Any]) -> str:
 
 # a two-item array nested at depth 2, such as one Hasse edge of a document
 _PAIR = "[\n      {},\n      {}\n    ]".format
+# a nonempty array nested at depth 2, from its items joined by _ITEMS
+_MEMBER = "[\n      {}\n    ]".format
+_ITEMS = ",\n      ".join
 
 
 def emit_lattice(lattice: Lattice, meta: dict[str, str] | None = None) -> str:
@@ -162,7 +165,7 @@ def emit_family_json(lattice: Lattice, family: SetFamilyPoset) -> str:
     enc = list(map(encode_basestring, lattice.names))
     return _document({
         "kind": encode_basestring(family.kind),
-        "members": [_array(pick(enc, m), 2) for m in family.members],
+        "members": [_MEMBER(_ITEMS(pick(enc, m))) if m else "[]" for m in family.members],
         "witnesses": [_PAIR(enc[a], enc[b]) for a, b in family.witnesses],
         "hasse": starmap(_PAIR, family.hasse),
     })

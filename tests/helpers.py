@@ -11,6 +11,7 @@ from functools import cache
 
 from kappalat import (
     Lattice,
+    SetFamilyPoset,
     bits_of,
     full_labeling,
     gen_a2,
@@ -21,6 +22,9 @@ from kappalat import (
     gen_fig1,
     gen_weak_dihedral,
     gen_weak_sym,
+    is_ice_interval,
+    is_wide_interval,
+    jlabel,
 )
 from kappalat.errors import CyclicCovers, DuplicateName, RedundantCover, UnknownName
 
@@ -52,6 +56,41 @@ def small_corpus(limit: int = 12):
 
 def small_labeled_corpus(limit: int = 40):
     return [(name, lat, lab) for name, lat, lab in labeled_corpus() if lat.n <= limit]
+
+
+def canonical_key(mask: int) -> tuple[int, tuple[int, ...]]:
+    """Sort key of the canonical member order: cardinality, then lex over ascending ids."""
+    return mask.bit_count(), tuple(bits_of(mask))
+
+
+def brute_family(lattice: Lattice, labeling, kind: str) -> SetFamilyPoset:
+    """The derived poset of kind, one interval and one pair of sets at a time.
+
+    The intervals in lex order, filtered by is_wide_interval or
+    is_ice_interval; each distinct jlabel set with its first interval as
+    witness; the sets sorted by canonical_key; and the Hasse edges as
+    the pairs of sets with no third set strictly between them.
+    """
+    keep = {"all": None, "wide": is_wide_interval, "ice": is_ice_interval}[kind]
+    first: dict[int, tuple[int, int]] = {}
+    for iv in lattice.intervals():
+        if keep is None or keep(lattice, iv):
+            first.setdefault(jlabel(lattice, labeling, iv), iv)
+    members = sorted(first, key=canonical_key)
+    r = range(len(members))
+    # above[i] / below[i]: the sets strictly containing / inside set i
+    above = [sum(1 << k for k in r if k != i and members[i] & ~members[k] == 0) for i in r]
+    below = [0] * len(members)
+    for i in r:
+        for k in bits_of(above[i]):
+            below[k] |= 1 << i
+    hasse = sorted((k, i) for i in r for k in bits_of(above[i]) if not above[i] & below[k])
+    return SetFamilyPoset(
+        kind=kind,
+        members=tuple(members),
+        hasse=tuple(hasse),
+        witnesses=tuple(first[m] for m in members),
+    )
 
 
 def brute_join(lattice: Lattice, xs) -> int | None:

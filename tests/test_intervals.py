@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import labeled_corpus, small_labeled_corpus
+from helpers import brute_family, canonical_key, labeled_corpus, small_labeled_corpus
 from kappalat import (
     bits_of,
     core_label,
@@ -205,8 +205,7 @@ class TestDerivedPoset:
         lat = gen_fig1()
         lab = full_labeling(lat)
         fam = derived_poset(lat, lab, "all")
-        keys = [(m.bit_count(), tuple(bits_of(m))) for m in fam.members]
-        assert keys == sorted(keys)
+        assert list(fam.members) == sorted(fam.members, key=canonical_key)
 
     def test_witnesses_map_back(self):
         for _, lat, lab in small_labeled_corpus(40):
@@ -258,26 +257,35 @@ class TestDerivedPoset:
         ]
         assert transitive_reduction(up) == sorted(expected)
 
+    @settings(deadline=None)
+    @given(st.lists(st.integers(0, 63) | st.integers(0, 1 << 70), max_size=40))
+    def test_inclusion_in_any_order_with_repeats(self, sets):
+        # the parent-row shortcut must not assume sorted, distinct sets
+        assert supersets(sets) == [
+            sum(1 << k for k, big in enumerate(sets) if small & ~big == 0) for small in sets
+        ]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_family_matches_the_brute_oracle_on_corpus(self, kind):
+        # chain(1) has no join-irreducibles: the compressed masks have width 0
+        for name, lat, lab in small_labeled_corpus():
+            assert derived_poset(lat, lab, kind) == brute_family(lat, lab, kind), name
+
     def test_label_sets_wider_than_64_bits(self):
         # chain(70) has 69 join-irreducibles: label sets span several words
         lat = gen_chain(70)
         lab = full_labeling(lat)
         sizes = {"all": 69 * 70 // 2 + 1, "wide": 70, "ice": 70}
         for kind, size in sizes.items():
-            members = derived_poset(lat, lab, kind).members
-            assert len(members) == size
-            # canonical order: cardinality, then lex over ascending member ids
-            assert list(members) == sorted(
-                members, key=lambda m: (m.bit_count(), tuple(bits_of(m)))
-            )
+            fam = derived_poset(lat, lab, kind)
+            assert len(fam.members) == size
+            assert fam == brute_family(lat, lab, kind)
 
     def test_canonical_order_on_corpus(self):
         for _, lat, lab in labeled_corpus():
             for kind in ("all", "wide", "ice"):
                 members = derived_poset(lat, lab, kind).members
-                assert list(members) == sorted(
-                    members, key=lambda m: (m.bit_count(), tuple(bits_of(m)))
-                )
+                assert list(members) == sorted(members, key=canonical_key)
 
     def test_weak_sym_6_all(self):
         lat = gen_weak_sym(6)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from helpers import (
     brute_arrow_labels,
     brute_covers,
+    brute_family,
     brute_first_missing_meet,
     brute_sd_violations,
     brute_semidistributive,
@@ -132,6 +133,17 @@ def test_interval_tops_match_the_oracles(order):
             assert (tops[a] >> b) & 1 == oracle(lat, (a, b))
         assert all(top & ~up == 0 for top, up in zip(tops, lat.up))
     assert interval_tops(lat, "all") is lat.up
+
+
+@settings(deadline=None)
+@given(lattices())
+def test_families_match_the_brute_oracle(order):
+    lat = build(*order)
+    if semidistributive_witness(lat) is not None:
+        return
+    lab = full_labeling(lat)
+    for kind in ("all", "wide", "ice"):
+        assert derived_poset(lat, lab, kind) == brute_family(lat, lab, kind)
 
 
 @settings(deadline=None)
