@@ -17,6 +17,7 @@ two equal through helpers.per_cover_labels.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import itemgetter
 
 from ._bits import highest_bit, lowest_bit, pick
 from .errors import InternalInvariant
@@ -212,15 +213,25 @@ def transitive_reduction(up: Sequence[int]) -> list[tuple[int, int]]:
     x's strict up-set is minimal in it, hence a cover of x; clearing that
     cover's up-set and repeating peels off exactly the covers, at one
     mask operation per Hasse edge.
+
+    Both steps stay on non-negative ints, where rest & -rest and
+    ~up[upper] would each build a negative int.  rest - 1 flips the
+    lowest set bit of rest and the zeros below it and nothing else, so
+    rest ^ (rest - 1) holds exactly those bits and its bit length is one
+    past the lowest bit; rest ^= rest & up[upper] clears up[upper] from
+    rest.  Lowers are visited in ascending order, so the pairs of each
+    upper are appended with ascending lowers, and a stable sort on the
+    upper alone (an int key, no tuple comparisons) leaves them in lex
+    order.
     """
     pairs = []
     for lower in range(len(up)):
         rest = up[lower] ^ (1 << lower)
         while rest:
-            upper = (rest & -rest).bit_length() - 1
+            upper = (rest ^ (rest - 1)).bit_length() - 1
             pairs.append((upper, lower))
-            rest &= ~up[upper]
-    pairs.sort()
+            rest ^= rest & up[upper]
+    pairs.sort(key=itemgetter(0))
     return pairs
 
 

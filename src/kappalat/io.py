@@ -12,13 +12,20 @@ element name is encoded once, with the same ``encode_basestring`` that
 ``json.dumps(..., ensure_ascii=False)`` uses, and the layout is
 byte-identical to ``json.dumps(document, indent=2, ensure_ascii=False)``
 of the matching ``*_document`` dict.
+
+A label poset is written at a constant number of Python operations per
+member and per Hasse edge.  A member's text is its parent's text (the
+member less its highest element) plus one separator and one item, see
+_joined.  The JSON Hasse section is one % over a repeated pair template;
+its arguments are ints, so no element name passes through a template.
+Each DOT statement is one f-string.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
-from itertools import chain, starmap
+from collections.abc import Iterable, Sequence
+from itertools import chain
 from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Any
 
@@ -112,9 +119,8 @@ def _document(fields: dict[str, Any]) -> str:
 
 # a two-item array nested at depth 2, such as one Hasse edge of a document
 _PAIR = "[\n      {},\n      {}\n    ]".format
-# a nonempty array nested at depth 2, from its items joined by _ITEMS
+# a nonempty array nested at depth 2, from its items joined by ",\n      "
 _MEMBER = "[\n      {}\n    ]".format
-_ITEMS = ",\n      ".join
 
 
 def emit_lattice(lattice: Lattice, meta: dict[str, str] | None = None) -> str:
@@ -130,23 +136,32 @@ def emit_lattice(lattice: Lattice, meta: dict[str, str] | None = None) -> str:
     return _document(fields)
 
 
+def _escape(name: str) -> str:
+    """The inside of a DOT string; escaping distributes over concatenation."""
+    return name.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _quote(name: str) -> str:
-    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return '"' + _escape(name) + '"'
 
 
-def _digraph(name: str, statements: Iterable[str]) -> str:
-    """DOT digraph laid out top to bottom, one statement per line."""
-    lines = (f"  {s};\n" for s in statements)
-    return "".join([f"digraph {name} {{\n  rankdir=TB;\n", *lines, "}\n"])
+def _digraph(name: str, nodes: Iterable[str], edges: Iterable[str]) -> str:
+    """DOT digraph laid out top to bottom: a line per node, then the finished edge lines."""
+    lines = (f"  {node};\n" for node in nodes)
+    return "".join([f"digraph {name} {{\n  rankdir=TB;\n", *lines, *edges, "}\n"])
 
 
 def emit_dot(lattice: Lattice, labeling: ArrowLabeling | None = None) -> str:
     """Hasse quiver as DOT, arrows from covering to covered element, labeled by gamma if given."""
     quoted = [_quote(name) for name in lattice.names]
-    edges = [f"{quoted[u]} -> {quoted[l]}" for u, l in lattice.covers]
-    if labeling is not None:
-        edges = [f"{e} [label={quoted[labeling.gamma[c]]}]" for e, c in zip(edges, lattice.covers)]
-    return _digraph("lattice", chain(quoted, edges))
+    if labeling is None:
+        edges = [f"  {quoted[u]} -> {quoted[l]};\n" for u, l in lattice.covers]
+    else:
+        edges = [
+            f"  {quoted[u]} -> {quoted[l]} [label={quoted[labeling.gamma[u, l]]}];\n"
+            for u, l in lattice.covers
+        ]
+    return _digraph("lattice", quoted, edges)
 
 
 def family_document(lattice: Lattice, family: SetFamilyPoset) -> dict[str, Any]:
@@ -160,14 +175,43 @@ def family_document(lattice: Lattice, family: SetFamilyPoset) -> dict[str, Any]:
     }
 
 
+def _joined(items: Sequence[str], sep: str, masks: Sequence[int]) -> list[str]:
+    """sep.join(pick(items, m)) for each m in masks, each from an earlier text.
+
+    Let t be the highest bit of a nonzero m.  The bits of m below t come
+    first in pick's ascending order, so m's text is its parent m - {t}'s
+    text + sep + items[t], or items[t] alone when the parent is empty.
+    A mask whose parent was not seen earlier gets the pick join itself;
+    repeats and 0 reuse a stored text.  Canonical families list sets by
+    size, so parents that are members come first.
+    """
+    texts = {0: ""}
+    for m in masks:
+        if m not in texts:
+            t = m.bit_length() - 1
+            rest = m ^ 1 << t
+            texts[m] = (
+                sep.join(pick(items, m)) if rest not in texts
+                else texts[rest] + sep + items[t] if rest else items[t]
+            )
+    return [texts[m] for m in masks]
+
+
+# one Hasse edge of a family document; a whole Hasse section is one % over
+# repeated copies, a single array item that _array writes as [] when empty
+_EDGE = "[\n      %d,\n      %d\n    ]"
+
+
 def emit_family_json(lattice: Lattice, family: SetFamilyPoset) -> str:
     """family_document(lattice, family) as JSON text."""
     enc = list(map(encode_basestring, lattice.names))
+    hasse = family.hasse
     return _document({
         "kind": encode_basestring(family.kind),
-        "members": [_MEMBER(_ITEMS(pick(enc, m))) if m else "[]" for m in family.members],
+        # an encoded name is never "", so only the empty set's text is empty
+        "members": [_MEMBER(t) if t else "[]" for t in _joined(enc, ",\n      ", family.members)],
         "witnesses": [_PAIR(enc[a], enc[b]) for a, b in family.witnesses],
-        "hasse": starmap(_PAIR, family.hasse),
+        "hasse": [",\n    ".join([_EDGE] * len(hasse)) % tuple(chain.from_iterable(hasse))],
     })
 
 
@@ -179,10 +223,13 @@ def emit_family_dot(lattice: Lattice, family: SetFamilyPoset) -> str:
     names then hold no comma and no quote, so each node name stands for
     exactly one set.
     """
-    parts = [encode_basestring(s) if not s or "," in s or '"' in s else s for s in lattice.names]
-    nodes = [_quote("{" + ",".join(pick(parts, m)) + "}") for m in family.members]
-    edges = (f"{nodes[u]} -> {nodes[l]}" for u, l in family.hasse)
-    return _digraph("labelsets", chain(nodes, edges))
+    parts = [
+        _escape(encode_basestring(s) if not s or "," in s or '"' in s else s)
+        for s in lattice.names
+    ]
+    nodes = ['"{' + t + '}"' for t in _joined(parts, ",", family.members)]
+    edges = (f"  {nodes[u]} -> {nodes[l]};\n" for u, l in family.hasse)
+    return _digraph("labelsets", nodes, edges)
 
 
 def relation_document(lattice: Lattice, relation: OrderRelation) -> dict[str, Any]:
@@ -205,5 +252,5 @@ def emit_relation_json(lattice: Lattice, relation: OrderRelation) -> str:
 
 def emit_relation_dot(lattice: Lattice, relation: OrderRelation) -> str:
     quoted = [_quote(name) for name in lattice.names]
-    edges = (f"{quoted[u]} -> {quoted[l]}" for u, l in relation.hasse)
-    return _digraph(f"{relation.kind}_order", chain(quoted, edges))
+    edges = (f"  {quoted[u]} -> {quoted[l]};\n" for u, l in relation.hasse)
+    return _digraph(f"{relation.kind}_order", quoted, edges)

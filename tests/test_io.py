@@ -21,9 +21,11 @@ from kappalat import (
     order_poset,
     parse_lattice,
 )
+from kappalat._bits import pick
 from kappalat.errors import DuplicateName, ParseError
 from kappalat.intervals import KINDS
 from kappalat.io import (
+    _joined,
     emit_family_dot,
     emit_family_json,
     emit_relation_dot,
@@ -35,9 +37,10 @@ from kappalat.io import (
 )
 from kappalat.orders import ORDER_KINDS
 
-# names with JSON and DOT escapes, control characters and non-ASCII text
+# names with JSON and DOT escapes, format-template characters, control
+# characters and non-ASCII text
 NAMES = st.text(
-    alphabet=st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7f/ {},'), st.characters()),
+    alphabet=st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7f/ {},%'), st.characters()),
     max_size=5,
 )
 
@@ -297,3 +300,57 @@ class TestDotWriters:
             for m in range(1 << lat.n)
         }
         assert len(nodes) == 1 << lat.n
+
+
+def _with_parents(mask):
+    """mask and each of its prefixes: mask less its highest bits, down to 0."""
+    return [mask & ((1 << k) - 1) for k in range(mask.bit_length() + 1)]
+
+
+class TestMemberTexts:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_joined_matches_pick_join(self, data):
+        width = data.draw(st.sampled_from([6, 71]))
+        items = data.draw(st.lists(st.text(max_size=2), min_size=width, max_size=width))
+        sep = data.draw(st.sampled_from([",", ",\n      ", ""]))
+        drawn = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=6))
+        # some masks with every parent, some without; repeats and 0 anywhere
+        pool = [p for m in drawn for p in _with_parents(m)] + drawn
+        masks = data.draw(st.permutations(pool))
+        assert _joined(items, sep, masks) == [sep.join(pick(items, m)) for m in masks]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_writers_on_shuffled_members(self, data):
+        _, base, _ = data.draw(st.sampled_from(small_labeled_corpus(20)))
+        names = data.draw(st.lists(NAMES, min_size=base.n, max_size=base.n, unique=True))
+        lat = renamed(base, names)
+        fam = derived_poset(lat, full_labeling(lat), data.draw(st.sampled_from(KINDS)))
+        repeats = fam.members[: data.draw(st.integers(0, 3))]
+        members = data.draw(st.permutations(fam.members + repeats))
+        index = st.integers(0, len(members) - 1)
+        element = st.integers(0, lat.n - 1)
+        hand_built = SetFamilyPoset(
+            kind=fam.kind,
+            members=tuple(members),
+            hasse=tuple(data.draw(st.lists(st.tuples(index, index), max_size=8))),
+            witnesses=tuple(data.draw(st.lists(st.tuples(element, element), max_size=8))),
+        )
+        assert emit_family_json(lat, hand_built) == dumps(family_document(lat, hand_built))
+        assert emit_family_dot(lat, hand_built) == _old_family_dot(lat, hand_built)
+
+    def test_format_template_names(self):
+        # N5: bottom < a < b < top and bottom < c < top
+        covers = [("%d", "%s"), ("%%", "%d"), ("{0}", "%%"), ("{}", "%s"), ("{0}", "{}")]
+        lat = build_lattice(["%s", "%d", "%%", "{}", "{0}"], covers)
+        lab = full_labeling(lat)
+        for kind in KINDS:
+            fam = derived_poset(lat, lab, kind)
+            assert fam.hasse
+            assert emit_family_json(lat, fam) == dumps(family_document(lat, fam))
+            assert emit_family_dot(lat, fam) == _old_family_dot(lat, fam)
+        for kind in ORDER_KINDS:
+            rel = order_poset(lat, lab, kind)
+            assert emit_relation_json(lat, rel) == dumps(relation_document(lat, rel))
+            assert emit_relation_dot(lat, rel) == _old_relation_dot(lat, rel)
