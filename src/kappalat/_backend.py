@@ -6,8 +6,10 @@ including x.  Ids form a linear extension (x < y in the order implies
 id(x) < id(y)), so the only possible minimum of a set is its lowest bit
 and the only possible maximum its highest bit.  There is one copy of
 each kernel: the meet-law sweep is the join-law sweep on the dual order
-(up and down swapped, lowest and highest bit swapped), and the interval
-sweep takes per-element top masks, so it knows nothing of the kinds.
+(up and down swapped, lowest and highest bit swapped), the join side
+of the lattice certificate is its meet side on the dual order, and the
+interval sweep takes per-element top masks, so it knows nothing of the
+kinds.
 The exception is arrow_labels, which inlines cover_join_label and
 cover_meet_label: two calls per cover cost ~315 against ~245 us on
 boolean(7) (best of 200, 2-CPU VM).  tests/test_labeling.py keeps the
@@ -29,6 +31,7 @@ def backend_name() -> str:
 
 
 def first_missing_meet(
+    up: Sequence[int],
     down: Sequence[int],
     cover_ups: Sequence[Sequence[int]],
     cover_downs: Sequence[Sequence[int]],
@@ -58,26 +61,62 @@ def first_missing_meet(
       holds x and y but has no maximum, which would lie between x and
       its cover u.
 
-    That certificate costs one AND per row and m in mirr.  Only when it
-    fails does the pair search run, with the same test on the pairs of
-    rows a < b in id order; it ends in the witness pair or, should it
-    find none, InternalInvariant, never in None.  That pair is the
-    lex-first one: let a be the first row that lacks a meet with
-    something, and b the least element that lacks a meet with a.  If b
-    had a single lower cover c, then c would lack a meet with a too, and
-    c < b.  If b < a, then row b would fail before row a.  So b is a row
-    and b > a, and (a, b) is the first failing pair of rows.  It is also
-    the lex-first pair of the poset: by the argument for b, the first
-    element of that pair is a row, and no row before a lacks a meet.
+    That meet-side certificate costs one AND per row and m in mirr.  Its
+    dual decides the same thing: the dual of a bounded poset is bounded,
+    so the argument above, with up and down and the two cover lists
+    swapped, shows that all joins exist iff up[x] & up[j] is up[its
+    lowest bit] for every x with two or more upper covers and every j
+    with exactly one lower cover.  A finite bounded poset has all meets
+    iff it has all joins (the join of a and b is the meet of their
+    common upper bounds, which hold the top, and dually), so either
+    certificate is the lattice test.  With one bottom and one top, every
+    other element has at least one lower cover and one upper cover, so
+    there are n - 1 - |rows| join-irreducibles and n - 1 - |mirr|
+    elements with two or more upper covers; the side with fewer pairs
+    runs, the meet side on a tie.
+
+    Only when the certificate fails does the pair search run, with the
+    meet test on the pairs of rows a < b in id order, whichever side
+    failed; it ends in the witness pair or, should it find none,
+    InternalInvariant, never in None.  That pair is the lex-first one:
+    let a be the first row that lacks a meet with something, and b the
+    least element that lacks a meet with a.  If b had a single lower
+    cover c, then c would lack a meet with a too, and c < b.  If b < a,
+    then row b would fail before row a.  So b is a row and b > a, and
+    (a, b) is the first failing pair of rows.  It is also the lex-first
+    pair of the poset: by the argument for b, the first element of that
+    pair is a row, and no row before a lacks a meet.
     """
-    rows = [(x, down[x]) for x, cd in enumerate(cover_downs) if len(cd) > 1]
-    mirr_downs = [down[m] for m, cu in enumerate(cover_ups) if len(cu) == 1]
-    for _, dx in rows:
-        for dm in mirr_downs:
-            common = dx & dm
-            if common != down[common.bit_length() - 1]:
-                return _first_failing_pair(down, rows)
-    return None
+    n = len(down)
+    rows = [x for x, cd in enumerate(cover_downs) if len(cd) > 1]
+    mirr = [m for m, cu in enumerate(cover_ups) if len(cu) == 1]
+    if len(rows) * len(mirr) <= (n - 1 - len(rows)) * (n - 1 - len(mirr)):
+        passed = _all_principal(down, rows, mirr, False)
+    else:
+        corows = [x for x, cu in enumerate(cover_ups) if len(cu) > 1]
+        jirr = [j for j, cd in enumerate(cover_downs) if len(cd) == 1]
+        passed = _all_principal(up, corows, jirr, True)
+    return None if passed else _first_failing_pair(down, [(x, down[x]) for x in rows])
+
+
+def _all_principal(masks, rows, irr, lowest):
+    """Whether masks[x] & masks[m] is principal for every x in rows, m in irr.
+
+    Written for the meet side: masks are the down-sets, and the only
+    possible maximum of an AND is its highest bit.  On the join side
+    (lowest true) masks are the up-sets and the only possible minimum is
+    the lowest bit: common ^ (common - 1) keeps the lowest set bit of
+    common and the zeros below it (see transitive_reduction).
+    """
+    irr_masks = [masks[m] for m in irr]
+    for x in rows:
+        mx = masks[x]
+        for mi in irr_masks:
+            common = mx & mi
+            end = common ^ (common - 1) if lowest else common
+            if common != masks[end.bit_length() - 1]:
+                return False
+    return True
 
 
 def _first_failing_pair(down, rows):
@@ -92,19 +131,24 @@ def _first_failing_pair(down, rows):
 def cover_join_label(up: Sequence[int], down: Sequence[int], upper: int, lower: int) -> int:
     """Minimum of {x | lower v x = upper} for a cover pair, or -1 if none.
 
-    That set is exactly down[upper] & ~down[lower]; its only candidate
-    minimum is its lowest bit.
+    That set is exactly down[upper] - down[lower], which is
+    down[upper] ^ down[lower] as down[lower] lies in down[upper]; its
+    only candidate minimum is its lowest bit j (see transitive_reduction
+    for the bit trick), a minimum iff the set lies in up[j].
     """
-    cand = down[upper] & ~down[lower]
-    j = (cand & -cand).bit_length() - 1
-    return j if cand & ~up[j] == 0 else -1
+    cand = down[upper] ^ down[lower]
+    j = (cand ^ (cand - 1)).bit_length() - 1
+    return j if cand & up[j] == cand else -1
 
 
 def cover_meet_label(up: Sequence[int], down: Sequence[int], upper: int, lower: int) -> int:
-    """Maximum of {x | upper ^ x = lower} for a cover pair, or -1 if none."""
-    cand = up[lower] & ~up[upper]
+    """Maximum of {x | upper ^ x = lower} for a cover pair, or -1 if none.
+
+    That set is up[lower] - up[upper], which is up[lower] ^ up[upper].
+    """
+    cand = up[lower] ^ up[upper]
     m = cand.bit_length() - 1
-    return m if cand & ~down[m] == 0 else -1
+    return m if cand & down[m] == cand else -1
 
 
 def arrow_labels(
@@ -114,18 +158,21 @@ def arrow_labels(
 
     One loop computes both labels of each cover by the rules of
     cover_join_label and cover_meet_label, and returns None at the first
-    cover that lacks either label.
+    cover that lacks either label.  A cover u > l has down[l] within
+    down[u] and up[u] within up[l], so each candidate set is an XOR and
+    each test an AND compared with the set: no step builds a negative
+    int, as cand & -cand and & ~mask would.
     """
     gamma: list[int] = []
     mu: list[int] = []
     for u, l in covers:
-        cand = down[u] & ~down[l]
-        j = (cand & -cand).bit_length() - 1
-        if cand & ~up[j]:
+        cand = down[u] ^ down[l]
+        j = (cand ^ (cand - 1)).bit_length() - 1
+        if cand & up[j] != cand:
             return None
-        cand = up[l] & ~up[u]
+        cand = up[l] ^ up[u]
         m = cand.bit_length() - 1
-        if cand & ~down[m]:
+        if cand & down[m] != cand:
             return None
         gamma.append(j)
         mu.append(m)

@@ -232,7 +232,7 @@ def build_lattice(names: Sequence[str], covers: Iterable[tuple[str, str]]) -> La
             f"{minimal} minimal and {maximal} maximal elements; need exactly one of each"
         )
 
-    missing = _backend.first_missing_meet(down, cover_ups, cover_downs)
+    missing = _backend.first_missing_meet(up, down, cover_ups, cover_downs)
     if missing is not None:
         a, b = missing
         raise NotALattice(

@@ -14,12 +14,18 @@ The whole-lattice functions (extended_kappa_table, order_poset,
 compare_orders) read everything off per-lattice tables built by passes
 over the covers: each element's down- and up-arrow label masks (one pass
 over gamma), the interval label halves belowj/kge (intervals.label_tables)
-and the down-set of extended-kappa images.  Each order quantity then
-costs a few mask operations per element; both orders refine the lattice
-order, so they are partial orders with no check (see order_poset).  The
-single-element functions (cjr, extended_kappa, core_label, kappa_leq,
-clo_leq) compute from the definitions and serve as their oracle.
-order_poset returns an OrderRelation, a named tuple.
+and the down-set of extended-kappa images.  Their checks run per cover
+as well, on the cover characterization of a join: a set S within down[x]
+joins to x iff S is within down[c] for no lower cover c of x.  So the
+canonical joinands of every element, its extended kappa image, x_down
+and the core label sets cost a few mask operations per cover, and no
+per-element join or meet.  Only when a check fails do the single-element
+functions run in id order, so the first failing element is named as
+they name it.  Both orders refine the lattice order, so they are partial
+orders with no check (see order_poset).  The single-element functions
+(cjr, extended_kappa, core_label, kappa_leq, clo_leq) compute from the
+definitions and serve as their oracle.  order_poset returns an
+OrderRelation, a named tuple.
 """
 
 from __future__ import annotations
@@ -121,25 +127,47 @@ def extended_kappa_table(lattice: Lattice, labeling: ArrowLabeling) -> tuple[int
     """Extended kappa image of every element; a permutation of the lattice.
 
     One pass over gamma gives every element's down-label mask D[x] (its
-    canonical joinands, checked as in cjr) and up-label mask U[y].  The
-    image of x is the meet of kappa(j) over j in D[x] and must satisfy
-    U[y] == D[x].  So the table is a permutation: exk(x1) = exk(x2) gives
-    D[x1] = D[x2], and x = join(D[x]) gives x1 = x2.
+    canonical joinands) and up-label mask U[y].  A second pass checks D[x]
+    on each arrow (x, c) with label i, the checks of cjr moved from the
+    joinands to the arrows that carry them: every i in D[x] labels an
+    arrow leaving x, and every such arrow's label is in D[x].  D[x] joins
+    to x iff D[x] lies in down[x] and, for every lower cover c of x, not
+    in down[c]: its join is at most x iff it lies in down[x], and below x
+    iff it lies below some lower cover.  So the arrow checks are: D[x] not
+    within down[c]; i a join-irreducible below x (tested before kappa(i)
+    is read); up[i] & D[x] == {i}; and D[x] - {i} within down[kappa(i)].
+    The same pass ANDs down[kappa(i)] into kd[x], so the image y of x,
+    the meet of kappa over D[x], is the highest bit of kd[x]; last,
+    U[y] == D[x] for every x.
+
+    If any check fails, the single-element extended_kappa runs on every
+    element in id order, so the first failing element raises its own
+    message.  When all pass, the table is a permutation: exk(x1) = exk(x2)
+    gives D[x1] = D[x2], and x = join(D[x]) gives x1 = x2.
     """
     n = lattice.n
+    up, down = lattice.up, lattice.down
+    gamma, kappa, jirr = labeling.gamma, labeling.kappa, labeling.jirr
     down_labels = [0] * n
     up_labels = [0] * n
-    for (upper, lower), j in labeling.gamma.items():
+    for (upper, lower), j in gamma.items():
         down_labels[upper] |= 1 << j
         up_labels[lower] |= 1 << j
-    kappa = labeling.kappa
-    table = []
-    for x, rep in enumerate(down_labels):
-        ids = _check_joinands(lattice, labeling, x, rep)
-        y = lattice.meet([kappa[j] for j in ids])
-        _check_image(lattice, x, rep, up_labels[y])
-        table.append(y)
-    return tuple(table)
+    kd = [down[-1]] * n
+    for (x, c), i in gamma.items():
+        rep = down_labels[x]
+        bit = 1 << i
+        if rep & down[c] == rep or not jirr & down[x] & bit or up[i] & rep != bit:
+            break
+        below = down[kappa[i]]
+        if (rep ^ bit) & below != rep ^ bit:
+            break
+        kd[x] &= below
+    else:
+        table = tuple([m.bit_length() - 1 for m in kd])
+        if list(map(up_labels.__getitem__, table)) == down_labels:
+            return table
+    return tuple([extended_kappa(lattice, labeling, x) for x in range(n)])
 
 
 def x_down(lattice: Lattice, x: int) -> int:
@@ -185,10 +213,16 @@ class OrderRelation(NamedTuple):
 def _core_labels(lattice: Lattice, labeling: ArrowLabeling) -> tuple[list[int], ...]:
     """cores[x] = jlabel[x_down, x] for every x, with the belowj/kge tables.
 
-    cores[x] = belowj[x] & kge[x_down(x)]: one meet and one AND per element.
+    cores[x] = belowj[x] & kge[x_down(x)].  x_down(x), the meet of x and
+    its lower covers, is the highest bit of acc[x], the AND of down[x]
+    and down[l] over the lower covers l: one AND per cover.
     """
     belowj, kge = label_tables(lattice, labeling, {j: 1 << j for j in bits_of(labeling.jirr)})
-    cores = [belowj[x] & kge[x_down(lattice, x)] for x in range(lattice.n)]
+    down = lattice.down
+    acc = list(down)
+    for u, l in lattice.covers:
+        acc[u] &= down[l]
+    cores = [bj & kge[m.bit_length() - 1] for bj, m in zip(belowj, acc)]
     return cores, belowj, kge
 
 
@@ -209,11 +243,22 @@ def _clo_up(lattice: Lattice, cores: Sequence[int]) -> list[int]:
     """up_rel[x] = {y | cores[x] within cores[y]}: the core label order's up-sets.
 
     Checked first: every x is the join of its core labels, on which
-    posethood rests (see order_poset).
+    posethood rests (see order_poset).  A set joins to x iff it lies in
+    down[x] and, for every lower cover c of x, not in down[c] (see
+    extended_kappa_table): one AND per element and one per cover.  Only
+    if that fails are the joins computed in id order, so the first
+    element that is not the join of its core labels is named.
     """
-    for x, core in enumerate(cores):
-        if lattice.join(bits_of(core)) != x:
-            raise InternalInvariant(f"{lattice.names[x]!r} is not the join of its core label set")
+    down = lattice.down
+    if not (
+        all(core & d == core for core, d in zip(cores, down))
+        and all(cores[u] & down[l] != cores[u] for u, l in lattice.covers)
+    ):
+        for x, core in enumerate(cores):
+            if lattice.join(bits_of(core)) != x:
+                raise InternalInvariant(
+                    f"{lattice.names[x]!r} is not the join of its core label set"
+                )
     return supersets(cores)
 
 

@@ -13,6 +13,7 @@ from kappalat import (
     Lattice,
     SetFamilyPoset,
     bits_of,
+    build_lattice,
     full_labeling,
     gen_a2,
     gen_boolean,
@@ -334,6 +335,40 @@ def first_input_defect(names, covers) -> tuple[type, str] | None:
             return RedundantCover, f"cover {upper!r} > {lower!r} given twice"
         pairs.add((upper, lower))
     return None
+
+
+def cambrian_sym(n: int, upper_barred) -> Lattice:
+    """The type-A Cambrian lattice of one orientation: c-sortable permutations.
+
+    Each value b in 2..n-1 is upper-barred if it is in upper_barred, else
+    lower-barred.  A permutation of {1..n} is kept unless it has adjacent
+    entries c, a with a < b < c where b comes after them (b lower-barred)
+    or before them (b upper-barred).  The kept permutations form a
+    sublattice of the weak order gen_weak_sym(n), so its order restricted
+    to them is the Cambrian order.  The lowest bit of what remains of a
+    kept element's strict up-set within the kept set is a cover;
+    clearing that cover's up-set and repeating gives all its covers.
+    """
+    weak = gen_weak_sym(n)
+
+    def kept(name: str) -> bool:
+        p = [int(d) for d in name]
+        for i in range(n - 1):
+            for b in range(p[i + 1] + 1, p[i]):
+                if (p.index(b) < i) == (b in upper_barred):
+                    return False
+        return True
+
+    ids = [x for x in range(weak.n) if kept(weak.names[x])]
+    keep = sum(1 << x for x in ids)
+    covers = []
+    for x in ids:
+        rest = weak.up[x] & keep & ~(1 << x)
+        while rest:
+            y = (rest & -rest).bit_length() - 1
+            covers.append((weak.names[y], weak.names[x]))
+            rest &= ~weak.up[y]
+    return build_lattice([weak.names[x] for x in ids], covers)
 
 
 def per_cover_labels(lattice: Lattice) -> tuple[list[int], list[int]]:

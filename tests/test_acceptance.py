@@ -7,10 +7,11 @@ import json
 import random
 import time
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
-from helpers import brute_first_missing_meet, brute_semidistributive
+from helpers import brute_first_missing_meet, brute_semidistributive, cambrian_sym
 from kappalat import (
     bits_of,
     cjr,
@@ -294,4 +295,89 @@ def test_criterion_11_isomorphism_theorem():
     assert {core_label(lat, lab, x) for x in range(lat.n)} < set(wide.members)
     assert not _is_lattice(lat.n, order_poset(lat, lab, "clo").hasse)
     _report(11, "wide poset, kappa order and clo are isomorphic; clo is the shard intersection lattice",
+            time.perf_counter() - t0, 5.0)
+
+
+def _partition_pairs(n, links):
+    """The partition of {1..n} generated by joining each linked pair, as
+    its set of pairs (a, b), a < b, in one block; refinement is inclusion."""
+    block = {v: {v} for v in range(1, n + 1)}
+    for a, c in links:
+        if block[a] is not block[c]:
+            merged = block[a] | block[c]
+            for v in merged:
+                block[v] = merged
+    return frozenset((a, b) for a in range(1, n + 1) for b in block[a] if a < b)
+
+
+def _noncrossing(n, circle):
+    """Pair sets of the partitions of {1..n} noncrossing in the circular order."""
+    found = set()
+    for labels in _set_partitions(n):
+        at = [labels[v - 1] for v in circle]
+        if not any(
+            at[i] == at[k] != at[j] == at[m] for i, j, k, m in combinations(range(n), 4)
+        ):
+            found.add(frozenset(
+                (a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+                if labels[a - 1] == labels[b - 1]
+            ))
+    return found
+
+
+def _set_partitions(n):
+    """Every partition of {1..n} as block labels by value, in restricted-growth form."""
+    labels = [[0]]
+    for _ in range(1, n):
+        labels = [ls + [b] for ls in labels for b in range(max(ls) + 2)]
+    return labels
+
+
+def test_criterion_12_cambrian_lattices():
+    # The torsion classes of a type-A path algebra form a Cambrian lattice,
+    # the c-sortable permutations (Ingalls-Thomas, arXiv:math/0612219), and
+    # its core label order is the noncrossing partition lattice NC_c
+    # (Reading, arXiv:0909.3288).  Checked for every orientation, n = 4..6.
+    t0 = time.perf_counter()
+    sizes = {4: (14, [1, 6, 6, 1], 28), 5: (42, [1, 10, 20, 10, 1], 120),
+             6: (132, [1, 15, 50, 50, 15, 1], 495)}
+    for n, (catalan, narayana, edges) in sizes.items():
+        for k in range(n - 1):
+            for upper in combinations(range(2, n), k):
+                lat = cambrian_sym(n, set(upper))
+                assert lat.n == catalan
+                assert semidistributive_witness(lat) is None
+                lab = full_labeling(lat)
+                image, wide = _core_map(lat, lab)
+                assert image is not None, upper
+                clo = order_poset(lat, lab, "clo")
+                assert {(image[u], image[l]) for u, l in clo.hasse} == set(wide.hasse)
+                assert clo.up == order_poset(lat, lab, "kappa").up
+                assert compare_orders(lat, lab) == (None, ())
+                # graded by the number of lower covers, ranks of Narayana sizes
+                lowers = [len(cd) for cd in lat.cover_downs]
+                assert all(lowers[u] == lowers[l] + 1 for u, l in clo.hasse)
+                assert sorted(Counter(lowers).items()) == list(enumerate(narayana))
+                assert len(clo.hasse) == edges
+                # x -> the partition joining a and c for each label (one
+                # descent c, a each) of core(x) is an isomorphism onto NC_c
+                descent = {}
+                for j in bits_of(lab.jirr):
+                    p = [int(d) for d in lat.names[j]]
+                    descents = [(p[i], p[i + 1]) for i in range(n - 1) if p[i] > p[i + 1]]
+                    assert len(descents) == 1, lat.names[j]
+                    descent[j] = descents[0]
+                parts = [
+                    _partition_pairs(n, map(descent.get, bits_of(core_label(lat, lab, x))))
+                    for x in range(lat.n)
+                ]
+                lower = [b for b in range(2, n) if b not in upper]
+                circle = [1, *lower, n, *sorted(upper, reverse=True)]
+                assert len(set(parts)) == lat.n
+                assert set(parts) == _noncrossing(n, circle)
+                for x in range(lat.n):
+                    assert clo.up[x] == sum(1 << y for y in range(lat.n) if parts[x] <= parts[y])
+                if n <= 5:
+                    assert _is_lattice(lat.n, clo.hasse)
+    _report(12, "on all 28 type-A Cambrian lattices, clo is the noncrossing partition lattice",
             time.perf_counter() - t0, 5.0)

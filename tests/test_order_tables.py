@@ -8,6 +8,7 @@ labeled corpus and on random semidistributive lattices.
 """
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -24,6 +25,7 @@ from helpers import (
     small_labeled_corpus,
 )
 from kappalat import (
+    Lattice,
     bits_of,
     cjr,
     clo_leq,
@@ -40,11 +42,12 @@ from kappalat import (
     order_poset,
     semidistributive_witness,
     sufficiency_failures,
+    x_down,
 )
 from kappalat.cli import cli_main
 from kappalat.errors import InternalInvariant
 from kappalat.intervals import label_tables
-from kappalat.orders import _check_joinands
+from kappalat.orders import _check_joinands, _clo_up, _core_labels
 from strategies import build, lattices
 
 
@@ -179,6 +182,11 @@ def test_clo_order_checks_each_element_joins_its_core_labels():
     bad = full_labeling(lat)._replace(kappa_dual={})
     with pytest.raises(InternalInvariant, match=r"^'1' is not the join of its core label set$"):
         order_poset(lat, bad, "clo")
+    # with the top added, no core set lies below a lower cover, so only the
+    # test that cores[x] lies below x sees that the bottom is not their join
+    cores = [core | 1 << lat.top for core in _core_labels(lat, full_labeling(lat))[0]]
+    with pytest.raises(InternalInvariant, match=r"^'0' is not the join of its core label set$"):
+        _clo_up(lat, cores)
 
 
 @pytest.mark.parametrize("name", ["fig1", "ex424", "boolean(3)", "weak_sym(3)"])
@@ -203,6 +211,96 @@ def test_table_fails_where_pointwise_fails_first(name):
             with pytest.raises(InternalInvariant) as info:
                 extended_kappa_table(lat, bad)
             assert str(info.value) == messages[0]
+
+
+@pytest.mark.parametrize("name", ["fig1", "ex424", "ex426", "boolean(3)", "weak_sym(4)"])
+def test_table_fails_where_pointwise_fails_first_on_random_corruptions(name):
+    # one to three arrows relabeled and kappa values moved at once, so
+    # that each of the table's checks is sometimes the only one to fail
+    lat, lab = next((lat, lab) for n, lat, lab in labeled_corpus() if n == name)
+    rng = random.Random(name)
+    for _ in range(400):
+        gamma, kappa = dict(lab.gamma), dict(lab.kappa)
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                gamma[rng.choice(lat.covers)] = rng.randrange(lat.n)
+            else:
+                kappa[rng.choice(list(kappa))] = rng.randrange(lat.n)
+        bad = lab._replace(gamma=gamma, kappa=kappa)
+        expected = next(
+            filter(None, (_raised(extended_kappa, lat, bad, x) for x in range(lat.n))), None
+        )
+        assert _raised(extended_kappa_table, lat, bad) == expected
+
+
+def _raised(fn, *args):
+    """The InternalInvariant message fn raises on args, or None."""
+    try:
+        fn(*args)
+    except InternalInvariant as exc:
+        return str(exc)
+    return None
+
+
+def _clo_corruptions(lat, lab):
+    """Labelings with one kappa_dual value replaced or dropped, or with one
+    gamma arrow relabeled by another join-irreducible and kappa_dual read
+    off the relabeled arrows, as full_labeling reads it."""
+    for m, j in lab.kappa_dual.items():
+        yield lab._replace(kappa_dual={k: v for k, v in lab.kappa_dual.items() if k != m})
+        for label in bits_of(lab.jirr):
+            if label != j:
+                yield lab._replace(kappa_dual={**lab.kappa_dual, m: label})
+    for arrow in lat.covers:
+        for label in bits_of(lab.jirr):
+            if label != lab.gamma[arrow]:
+                gamma = {**lab.gamma, arrow: label}
+                kappa_dual = {m: gamma[lat.cover_ups[m][0], m] for m in lab.kappa_dual}
+                yield lab._replace(gamma=gamma, kappa_dual=kappa_dual)
+
+
+@pytest.mark.parametrize("name", ["fig1", "ex424", "boolean(3)", "weak_sym(3)"])
+def test_clo_table_fails_where_pointwise_fails_first(name):
+    # the clo check must name the first x in id order that is not the join
+    # of its core labels, each core computed with the single-element
+    # x_down; compare_orders raises what the kappa table raises, else that
+    lat, lab = next((lat, lab) for n, lat, lab in labeled_corpus() if n == name)
+    failed = 0
+    for bad in _clo_corruptions(lat, lab):
+        belowj, kge = label_tables(lat, bad, {j: 1 << j for j in bits_of(bad.jirr)})
+        first = next(
+            (x for x in range(lat.n) if lat.join(bits_of(belowj[x] & kge[x_down(lat, x)])) != x),
+            None,
+        )
+        expected = None if first is None else (
+            f"{lat.names[first]!r} is not the join of its core label set"
+        )
+        failed += expected is not None
+        assert _raised(order_poset, lat, bad, "clo") == expected
+        by_kappa = next(
+            filter(None, (_raised(extended_kappa, lat, bad, x) for x in range(lat.n))), None
+        )
+        assert _raised(compare_orders, lat, bad) == (by_kappa or expected)
+    assert failed
+
+
+def test_table_builders_call_no_single_element_path(monkeypatch):
+    # on valid labelings the per-element checks are a failure path only
+    corpus = labeled_corpus()
+
+    def refuse(*args):
+        raise AssertionError("a table builder called a single-element function")
+
+    for owner, name in (
+        (kappalat.orders, "_check_joinands"),
+        (kappalat.orders, "x_down"),
+        (Lattice, "join"),
+        (Lattice, "meet"),
+    ):
+        monkeypatch.setattr(owner, name, refuse)
+    for name, lat, lab in corpus:
+        extended_kappa_table(lat, lab)
+        _clo_up(lat, _core_labels(lat, lab)[0])
 
 
 def test_extended_kappa_table_checks_survive_python_O():

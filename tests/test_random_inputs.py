@@ -63,6 +63,27 @@ def test_lattice_test_and_witness_pair(order):
             build(n, covers)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(lattices(), bounded_posets()))
+def test_each_lattice_certificate_alone_decides(order):
+    # first_missing_meet runs the side with fewer pairs; each side alone
+    # must decide the lattice test, and the pair search after it must
+    # find the first pair lacking a meet
+    n, covers = order
+    missing = brute_first_missing_meet(n, covers)
+    up, down = order_masks(n, covers)
+    lowers = [sum(1 for u, _ in covers if u == x) for x in range(n)]
+    uppers = [sum(1 for _, l in covers if l == x) for x in range(n)]
+    rows = [x for x in range(n) if lowers[x] > 1]
+    mirr = [m for m in range(n) if uppers[m] == 1]
+    by_meets = _backend._all_principal(down, rows, mirr, False)
+    corows = [x for x in range(n) if uppers[x] > 1]
+    by_joins = _backend._all_principal(up, corows, [j for j in range(n) if lowers[j] == 1], True)
+    assert by_meets == by_joins == (missing is None)
+    if missing is not None:
+        assert _backend._first_failing_pair(down, [(x, down[x]) for x in rows]) == missing
+
+
 @settings(max_examples=150, deadline=None)
 @given(large_orders())
 def test_lattice_test_on_large_orders_against_pair_sweep(order):
