@@ -100,10 +100,10 @@ def _cmd_labels(args: argparse.Namespace) -> int:
         sys.stdout.write(io.emit_dot(lat, lab))
         return 0
     names, gamma, mu = lat.names, lab.gamma, lab.mu
-    sys.stdout.write("".join([
+    sys.stdout.writelines(
         f"{names[u]} -> {names[l]} : gamma={names[gamma[u, l]]} mu={names[mu[u, l]]}\n"
         for u, l in lat.covers
-    ]))
+    )
     return 0
 
 
@@ -121,11 +121,8 @@ def _cmd_posets(args: argparse.Namespace) -> int:
     from . import intervals
 
     lat, lab = _labeled(args.file)
-    fam = intervals.derived_poset(lat, lab, args.kind)
-    if args.format == "dot":
-        sys.stdout.write(io.emit_family_dot(lat, fam))
-    else:
-        sys.stdout.write(io.emit_family_json(lat, fam))
+    emit = io.emit_family_dot if args.format == "dot" else io.emit_family_json
+    sys.stdout.writelines(emit(lat, intervals.derived_poset(lat, lab, args.kind)))
     return 0
 
 
@@ -144,11 +141,8 @@ def _cmd_orders(args: argparse.Namespace) -> int:
     from . import orders
 
     lat, lab = _labeled(args.file)
-    rel = orders.order_poset(lat, lab, args.kind)
-    if args.format == "dot":
-        sys.stdout.write(io.emit_relation_dot(lat, rel))
-    else:
-        sys.stdout.write(io.emit_relation_json(lat, rel))
+    emit = io.emit_relation_dot if args.format == "dot" else io.emit_relation_json
+    sys.stdout.writelines(emit(lat, orders.order_poset(lat, lab, args.kind)))
     return 0
 
 

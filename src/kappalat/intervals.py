@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from . import _backend
 from ._bits import bits_of, mask_of, pick
-from .errors import TooLarge
+from .errors import InternalInvariant, TooLarge
 from .lattice import Interval, Lattice
 from .labeling import ArrowLabeling
 
@@ -56,6 +56,9 @@ def label_tables(
     n = lattice.n
     kappa_dual = labeling.kappa_dual
     belowj = lattice.or_below([jbit.get(b, 0) for b in range(n)])
+    for a, j in kappa_dual.items():
+        if j not in jbit:
+            raise InternalInvariant(f"kappa_dual({lattice.names[a]!r}) is not join-irreducible")
     kge = lattice.or_above([jbit[kappa_dual[a]] if a in kappa_dual else 0 for a in range(n)])
     return belowj, kge
 

@@ -13,18 +13,21 @@ element name is encoded once, with the same ``encode_basestring`` that
 byte-identical to ``json.dumps(document, indent=2, ensure_ascii=False)``
 of the matching ``*_document`` dict.
 
-A label poset is written at a constant number of Python operations per
-member and per Hasse edge.  A member's text is its parent's text (the
-member less its highest element) plus one separator and one item, see
-_joined.  The JSON Hasse section is one % over a repeated pair template;
-its arguments are ints, so no element name passes through a template.
-Each DOT statement is one f-string.
+The writers yield their text in document order, so no poset is held as
+one text: emit_family_* and emit_relation_* return the chunks,
+emit_lattice and emit_dot their join.  A chunk is an array item such as
+a member, a DOT statement, or a whole array of pairs (covers, witnesses,
+Hasse edges), which is one % over a repeated pair template with the
+names as its arguments.  So a label poset takes a constant number of
+Python operations per member and per Hasse edge.  A member's text is its
+parent's text (the member less its highest element) plus one separator
+and one item, see _joined.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Any
@@ -94,33 +97,39 @@ def lattice_document(lattice: Lattice, meta: dict[str, str] | None = None) -> di
     return doc
 
 
-def _array(items: Iterable[str], depth: int, brackets: str = "[]") -> str:
-    """JSON array of rendered items, laid out as json.dumps(indent=2) at depth.
+def _array(items: Iterable[str]) -> Iterator[str]:
+    """JSON array of rendered items, laid out as json.dumps(indent=2) at depth 1."""
+    lead = "[\n    "
+    for item in items:
+        yield lead + item
+        lead = ",\n    "
+    yield "[]" if lead[0] == "[" else "\n  ]"
 
-    With brackets "{}" the items are the "key: value" members of an object.
-    """
-    inner = "\n" + "  " * (depth + 1)
-    body = ("," + inner).join(items)
-    return f"{brackets[0]}{inner}{body}\n{'  ' * depth}{brackets[1]}" if body else brackets
 
-
-def _document(fields: dict[str, Any]) -> str:
+def _document(fields: dict[str, Any]) -> Iterator[str]:
     """Top-level object as json.dumps(indent=2) writes it, plus a newline.
 
-    A str value is already rendered; any other is an iterable of rendered
-    array items.
+    A str value is already rendered; any other is an iterable of rendered array items.
     """
-    items = (
-        f"{encode_basestring(key)}: {value if isinstance(value, str) else _array(value, 1)}"
-        for key, value in fields.items()
-    )
-    return _array(items, 0, "{}") + "\n"
+    lead = "{\n  "
+    for key, value in fields.items():
+        yield f"{lead}{encode_basestring(key)}: "
+        yield from (value,) if isinstance(value, str) else _array(value)
+        lead = ",\n  "
+    yield "\n}\n"
 
 
-# a two-item array nested at depth 2, such as one Hasse edge of a document
-_PAIR = "[\n      {},\n      {}\n    ]".format
 # a nonempty array nested at depth 2, from its items joined by ",\n      "
 _MEMBER = "[\n      {}\n    ]".format
+# a two-item array nested at depth 2, such as one Hasse edge of a document
+_PAIR = "[\n      %s,\n      %s\n    ]"
+
+
+def _pairs(pairs: Sequence[tuple[int, int]], names: Sequence[str] | None = None) -> tuple[str, ...]:
+    """The items of an array of pairs at depth 1 as one item, () if none; ends are ints or names."""
+    ends = chain.from_iterable(pairs)
+    args = tuple(ends if names is None else map(names.__getitem__, ends))
+    return (",\n    ".join([_PAIR] * len(pairs)) % args,) if pairs else ()
 
 
 def emit_lattice(lattice: Lattice, meta: dict[str, str] | None = None) -> str:
@@ -128,12 +137,12 @@ def emit_lattice(lattice: Lattice, meta: dict[str, str] | None = None) -> str:
     enc = list(map(encode_basestring, lattice.names))
     fields: dict[str, Any] = {
         "elements": enc,
-        "covers": [_PAIR(enc[u], enc[l]) for u, l in lattice.covers],
+        "covers": _pairs(lattice.covers, enc),
     }
     if meta:
         items = (f"{encode_basestring(k)}: {encode_basestring(meta[k])}" for k in sorted(meta))
-        fields["meta"] = _array(items, 1, "{}")
-    return _document(fields)
+        fields["meta"] = "{\n    " + ",\n    ".join(items) + "\n  }"
+    return "".join(_document(fields))
 
 
 def _escape(name: str) -> str:
@@ -145,23 +154,23 @@ def _quote(name: str) -> str:
     return '"' + _escape(name) + '"'
 
 
-def _digraph(name: str, nodes: Iterable[str], edges: Iterable[str]) -> str:
+def _digraph(name: str, nodes: Iterable[str], edges: Iterable[str]) -> Iterator[str]:
     """DOT digraph laid out top to bottom: a line per node, then the finished edge lines."""
     lines = (f"  {node};\n" for node in nodes)
-    return "".join([f"digraph {name} {{\n  rankdir=TB;\n", *lines, *edges, "}\n"])
+    return chain((f"digraph {name} {{\n  rankdir=TB;\n",), lines, edges, ("}\n",))
 
 
 def emit_dot(lattice: Lattice, labeling: ArrowLabeling | None = None) -> str:
     """Hasse quiver as DOT, arrows from covering to covered element, labeled by gamma if given."""
     quoted = [_quote(name) for name in lattice.names]
     if labeling is None:
-        edges = [f"  {quoted[u]} -> {quoted[l]};\n" for u, l in lattice.covers]
+        edges = (f"  {quoted[u]} -> {quoted[l]};\n" for u, l in lattice.covers)
     else:
-        edges = [
+        edges = (
             f"  {quoted[u]} -> {quoted[l]} [label={quoted[labeling.gamma[u, l]]}];\n"
             for u, l in lattice.covers
-        ]
-    return _digraph("lattice", quoted, edges)
+        )
+    return "".join(_digraph("lattice", quoted, edges))
 
 
 def family_document(lattice: Lattice, family: SetFamilyPoset) -> dict[str, Any]:
@@ -175,8 +184,8 @@ def family_document(lattice: Lattice, family: SetFamilyPoset) -> dict[str, Any]:
     }
 
 
-def _joined(items: Sequence[str], sep: str, masks: Sequence[int]) -> list[str]:
-    """sep.join(pick(items, m)) for each m in masks, each from an earlier text.
+def _joined(items: Sequence[str], sep: str, masks: Iterable[int]) -> Iterator[str]:
+    """Yield sep.join(pick(items, m)) for each m in masks, each from an earlier text.
 
     Let t be the highest bit of a nonzero m.  The bits of m below t come
     first in pick's ascending order, so m's text is its parent m - {t}'s
@@ -194,29 +203,23 @@ def _joined(items: Sequence[str], sep: str, masks: Sequence[int]) -> list[str]:
                 sep.join(pick(items, m)) if rest not in texts
                 else texts[rest] + sep + items[t] if rest else items[t]
             )
-    return [texts[m] for m in masks]
+        yield texts[m]
 
 
-# one Hasse edge of a family document; a whole Hasse section is one % over
-# repeated copies, a single array item that _array writes as [] when empty
-_EDGE = "[\n      %d,\n      %d\n    ]"
-
-
-def emit_family_json(lattice: Lattice, family: SetFamilyPoset) -> str:
-    """family_document(lattice, family) as JSON text."""
+def emit_family_json(lattice: Lattice, family: SetFamilyPoset) -> Iterator[str]:
+    """family_document(lattice, family) as JSON text, in chunks."""
     enc = list(map(encode_basestring, lattice.names))
-    hasse = family.hasse
     return _document({
         "kind": encode_basestring(family.kind),
         # an encoded name is never "", so only the empty set's text is empty
-        "members": [_MEMBER(t) if t else "[]" for t in _joined(enc, ",\n      ", family.members)],
-        "witnesses": [_PAIR(enc[a], enc[b]) for a, b in family.witnesses],
-        "hasse": [",\n    ".join([_EDGE] * len(hasse)) % tuple(chain.from_iterable(hasse))],
+        "members": (_MEMBER(t) if t else "[]" for t in _joined(enc, ",\n      ", family.members)),
+        "witnesses": _pairs(family.witnesses, enc),
+        "hasse": _pairs(family.hasse),
     })
 
 
-def emit_family_dot(lattice: Lattice, family: SetFamilyPoset) -> str:
-    """Poset of label sets as DOT; a member's node is named "{name,name,...}".
+def emit_family_dot(lattice: Lattice, family: SetFamilyPoset) -> Iterator[str]:
+    """Poset of label sets as DOT chunks; a member's node is named "{name,name,...}".
 
     Inside a member name an element name is written as-is unless it is
     empty or holds ',' or '"'; such a name is written JSON-quoted.  Bare
@@ -240,17 +243,17 @@ def relation_document(lattice: Lattice, relation: OrderRelation) -> dict[str, An
     }
 
 
-def emit_relation_json(lattice: Lattice, relation: OrderRelation) -> str:
-    """relation_document(lattice, relation) as JSON text."""
+def emit_relation_json(lattice: Lattice, relation: OrderRelation) -> Iterator[str]:
+    """relation_document(lattice, relation) as JSON text, in chunks."""
     enc = list(map(encode_basestring, lattice.names))
     return _document({
         "kind": encode_basestring(relation.kind),
         "elements": enc,
-        "hasse": [_PAIR(enc[u], enc[l]) for u, l in relation.hasse],
+        "hasse": _pairs(relation.hasse, enc),
     })
 
 
-def emit_relation_dot(lattice: Lattice, relation: OrderRelation) -> str:
+def emit_relation_dot(lattice: Lattice, relation: OrderRelation) -> Iterator[str]:
     quoted = [_quote(name) for name in lattice.names]
     edges = (f"  {quoted[u]} -> {quoted[l]};\n" for u, l in relation.hasse)
     return _digraph(f"{relation.kind}_order", quoted, edges)

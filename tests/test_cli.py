@@ -2,6 +2,7 @@
 
 import argparse
 import errno
+import io
 import json
 import os
 import re
@@ -16,6 +17,7 @@ from kappalat import (
     cli,
     emit_lattice,
     errors,
+    full_labeling,
     gen_a2,
     gen_chain,
     gen_ex424,
@@ -25,6 +27,7 @@ from kappalat import (
     parse_lattice,
 )
 from kappalat.cli import cli_main
+from kappalat.io import emit_family_dot, emit_family_json
 
 
 @pytest.fixture
@@ -151,6 +154,39 @@ class TestPosets:
         assert len(nodes) == len(set(nodes)) == 8
         assert '  "{a,b}";' in nodes
         assert '  "{\\"a,b\\"}";' in nodes
+
+
+class _WriteSizes(io.StringIO):
+    """A stdout that records the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+class TestStreamedPosets:
+    """posets hands its text to stdout in chunks, none of them a large share."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--kind", "all"], ["--kind", "all", "--format", "dot"], ["--kind", "wide", "--format", "dot"]],
+        ids=["all-json", "all-dot", "wide-dot"],
+    )
+    def test_writes_are_chunks_of_the_library_text(self, args, tmp_path, monkeypatch):
+        lat = gen_weak_dihedral(60)
+        path = tmp_path / "weak_dihedral60.json"
+        path.write_text(emit_lattice(lat), encoding="utf-8")
+        out = _WriteSizes()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli_main(["posets", str(path), *args]) == 0
+        fam = intervals.derived_poset(lat, full_labeling(lat), args[1])
+        emit = emit_family_dot if "dot" in args else emit_family_json
+        assert out.getvalue() == "".join(emit(lat, fam))
+        assert max(out.sizes) < sum(out.sizes) / 10
 
 
 class TestPosetCaps:
@@ -498,10 +534,14 @@ def _module_command(*args):
 class TestClosedPipe:
     """A reader that closes stdout early: exit 0 and nothing on stderr."""
 
-    @pytest.mark.parametrize("argv", [["cjr"], ["posets", "--kind", "wide"]], ids=["cjr", "posets"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["cjr"], ["posets", "--kind", "wide"], ["posets", "--kind", "wide", "--format", "dot"]],
+        ids=["cjr", "posets", "posets-dot"],
+    )
     def test_exit_0_and_quiet(self, argv, tmp_path):
-        # both outputs (about 190 and 440 kB) outgrow a pipe buffer, so the
-        # command is still writing when the reader closes its end
+        # every output (about 190 kB, 440 kB and 54 MB) outgrows a pipe buffer,
+        # so the command is still writing when the reader closes its end
         path = tmp_path / "weak_dihedral300.json"
         path.write_text(emit_lattice(gen_weak_dihedral(300)), encoding="utf-8")
         command, env = _module_command(argv[0], str(path), *argv[1:])
@@ -526,8 +566,13 @@ class TestClosedPipe:
 class TestUnwritableStdout:
     """A stdout that takes no output: exit 1 and one error line, no traceback."""
 
-    ARGVS = [["check", "{fig1}"], ["gen", "--family", "fig1"], *HELP_ARGVS]
-    IDS = ["check", "gen", "h", "check-h"]
+    ARGVS = [
+        ["check", "{fig1}"],
+        ["gen", "--family", "fig1"],
+        ["posets", "{fig1}", "--kind", "wide", "--format", "dot"],
+        *HELP_ARGVS,
+    ]
+    IDS = ["check", "gen", "posets-dot", "h", "check-h"]
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("argv", ARGVS, ids=IDS)

@@ -46,7 +46,7 @@ from kappalat import (
 )
 from kappalat.cli import cli_main
 from kappalat.errors import InternalInvariant
-from kappalat.intervals import label_tables
+from kappalat.intervals import derived_poset, label_tables
 from kappalat.orders import _check_joinands, _clo_up, _core_labels
 from strategies import build, lattices
 
@@ -187,6 +187,17 @@ def test_clo_order_checks_each_element_joins_its_core_labels():
     cores = [core | 1 << lat.top for core in _core_labels(lat, full_labeling(lat))[0]]
     with pytest.raises(InternalInvariant, match=r"^'0' is not the join of its core label set$"):
         _clo_up(lat, cores)
+
+
+def test_label_tables_reject_a_kappa_dual_value_that_is_not_join_irreducible():
+    # one meet-irreducible sent to the bottom, which has no bit in the tables
+    lat = gen_fig1()
+    lab = full_labeling(lat)
+    m = next(iter(lab.kappa_dual))
+    bad = lab._replace(kappa_dual={**lab.kappa_dual, m: lat.bottom})
+    message = f"kappa_dual({lat.names[m]!r}) is not join-irreducible"
+    assert _raised(order_poset, lat, bad, "clo") == message
+    assert _raised(derived_poset, lat, bad, "wide") == message
 
 
 @pytest.mark.parametrize("name", ["fig1", "ex424", "boolean(3)", "weak_sym(3)"])
