@@ -230,9 +230,9 @@ def emit_family_dot(lattice: Lattice, family: SetFamilyPoset) -> Iterator[str]:
         _escape(encode_basestring(s) if not s or "," in s or '"' in s else s)
         for s in lattice.names
     ]
-    nodes = ['"{' + t + '}"' for t in _joined(parts, ",", family.members)]
-    edges = (f"  {nodes[u]} -> {nodes[l]};\n" for u, l in family.hasse)
-    return _digraph("labelsets", nodes, edges)
+    texts = list(_joined(parts, ",", family.members))
+    edges = (f'  "{{{texts[u]}}}" -> "{{{texts[l]}}}";\n' for u, l in family.hasse)
+    return _digraph("labelsets", ('"{' + t + '}"' for t in texts), edges)
 
 
 def relation_document(lattice: Lattice, relation: OrderRelation) -> dict[str, Any]:

@@ -19,13 +19,14 @@ as well, on the cover characterization of a join: a set S within down[x]
 joins to x iff S is within down[c] for no lower cover c of x.  So the
 canonical joinands of every element, its extended kappa image, x_down
 and the core label sets cost a few mask operations per cover, and no
-per-element join or meet.  Only when a check fails do the single-element
-functions run in id order, so the first failing element is named as
-they name it.  Both orders refine the lattice order, so they are partial
-orders with no check (see order_poset).  The single-element functions
-(cjr, extended_kappa, core_label, kappa_leq, clo_leq) compute from the
-definitions and serve as their oracle.  order_poset returns an
-OrderRelation, a named tuple.
+per-element join or meet.  The core label check names the first failing
+element off its own scans (see _check_cores); only extended_kappa_table
+reruns the single-element functions on failure, in id order, so that its
+first failing element raises their message.  Both orders refine the
+lattice order, so they are partial orders with no check (see
+order_poset).  The single-element functions (cjr, extended_kappa,
+core_label, kappa_leq, clo_leq) compute from the definitions and serve
+as their oracle.  order_poset returns an OrderRelation, a named tuple.
 """
 
 from __future__ import annotations
@@ -104,13 +105,6 @@ def verify_cjr_oracle(lattice: Lattice, x: int, rep: int) -> bool:
     return True
 
 
-def _check_image(lattice: Lattice, x: int, rep: int, up_labels: int) -> None:
-    if up_labels != rep:
-        raise InternalInvariant(
-            f"up-arrow labels of extended_kappa({lattice.names[x]!r}) differ from its joinands"
-        )
-
-
 def extended_kappa(lattice: Lattice, labeling: ArrowLabeling, x: int) -> int:
     """Meet of kappa over the canonical joinands of x.
 
@@ -119,7 +113,10 @@ def extended_kappa(lattice: Lattice, labeling: ArrowLabeling, x: int) -> int:
     """
     rep = cjr(lattice, labeling, x)
     y = lattice.meet(labeling.kappa[j] for j in bits_of(rep))
-    _check_image(lattice, x, rep, up_jlabel(lattice, labeling, y))
+    if up_jlabel(lattice, labeling, y) != rep:
+        raise InternalInvariant(
+            f"up-arrow labels of extended_kappa({lattice.names[x]!r}) differ from its joinands"
+        )
     return y
 
 
@@ -142,8 +139,10 @@ def extended_kappa_table(lattice: Lattice, labeling: ArrowLabeling) -> tuple[int
 
     If any check fails, the single-element extended_kappa runs on every
     element in id order, so the first failing element raises its own
-    message.  When all pass, the table is a permutation: exk(x1) = exk(x2)
-    gives D[x1] = D[x2], and x = join(D[x]) gives x1 = x2.
+    message: which of the four it raises depends on the per-element check
+    order, which the per-cover pass does not keep.  When all pass, the
+    table is a permutation: exk(x1) = exk(x2) gives D[x1] = D[x2], and
+    x = join(D[x]) gives x1 = x2.
     """
     n = lattice.n
     up, down = lattice.up, lattice.down
@@ -210,12 +209,31 @@ class OrderRelation(NamedTuple):
         return bool((self.up[x] >> y) & 1)
 
 
+def _check_cores(lattice: Lattice, cores: Sequence[int]) -> None:
+    """Raise, naming the first x in id order, unless each x joins cores[x].
+
+    S joins to x iff S lies in down[x] and in down[c] for no lower cover c
+    of x (see extended_kappa_table).  lattice.covers is sorted by the
+    upper element, so the first x that fails is the smaller of the first
+    x with cores[x] not within down[x] and the first cover (u, l) with
+    cores[u] within down[l]: one AND per element and per cover, no join.
+    """
+    n, down = lattice.n, lattice.down
+    first = min(
+        next((x for x, (core, d) in enumerate(zip(cores, down)) if core & d != core), n),
+        next((u for u, l in lattice.covers if cores[u] & down[l] == cores[u]), n),
+    )
+    if first < n:
+        raise InternalInvariant(f"{lattice.names[first]!r} is not the join of its core label set")
+
+
 def _core_labels(lattice: Lattice, labeling: ArrowLabeling) -> tuple[list[int], ...]:
     """cores[x] = jlabel[x_down, x] for every x, with the belowj/kge tables.
 
     cores[x] = belowj[x] & kge[x_down(x)].  x_down(x), the meet of x and
     its lower covers, is the highest bit of acc[x], the AND of down[x]
-    and down[l] over the lower covers l: one AND per cover.
+    and down[l] over the lower covers l: one AND per cover.  Checked by
+    _check_cores, on which the core label order's posethood rests.
     """
     belowj, kge = label_tables(lattice, labeling, {j: 1 << j for j in bits_of(labeling.jirr)})
     down = lattice.down
@@ -223,6 +241,7 @@ def _core_labels(lattice: Lattice, labeling: ArrowLabeling) -> tuple[list[int], 
     for u, l in lattice.covers:
         acc[u] &= down[l]
     cores = [bj & kge[m.bit_length() - 1] for bj, m in zip(belowj, acc)]
+    _check_cores(lattice, cores)
     return cores, belowj, kge
 
 
@@ -239,37 +258,14 @@ def _kappa_up(lattice: Lattice, exk: Sequence[int]) -> list[int]:
     return [u & below[z] for u, z in zip(lattice.up, exk)]
 
 
-def _clo_up(lattice: Lattice, cores: Sequence[int]) -> list[int]:
-    """up_rel[x] = {y | cores[x] within cores[y]}: the core label order's up-sets.
-
-    Checked first: every x is the join of its core labels, on which
-    posethood rests (see order_poset).  A set joins to x iff it lies in
-    down[x] and, for every lower cover c of x, not in down[c] (see
-    extended_kappa_table): one AND per element and one per cover.  Only
-    if that fails are the joins computed in id order, so the first
-    element that is not the join of its core labels is named.
-    """
-    down = lattice.down
-    if not (
-        all(core & d == core for core, d in zip(cores, down))
-        and all(cores[u] & down[l] != cores[u] for u, l in lattice.covers)
-    ):
-        for x, core in enumerate(cores):
-            if lattice.join(bits_of(core)) != x:
-                raise InternalInvariant(
-                    f"{lattice.names[x]!r} is not the join of its core label set"
-                )
-    return supersets(cores)
-
-
 def order_poset(lattice: Lattice, labeling: ArrowLabeling, kind: str) -> OrderRelation:
     """Relation matrix and Hasse covers of the kappa or core label order.
 
     kappa: up_rel[x] = up[x] & below[exk[x]], where exk is
     extended_kappa_table and below[z] = {y | exk[y] <= z}.  clo:
     up_rel = supersets of the core label sets cores[x] =
-    belowj[x] & kge[x_down] (see intervals.label_tables), after checking
-    that every x is the join of its core labels.
+    belowj[x] & kge[x_down] (see intervals.label_tables), each x checked
+    to be the join of its core labels by _check_cores.
 
     Both relations refine the lattice order, hence are partial orders:
     kappa's up[x] & below[exk[x]] holds x as exk is a permutation; for
@@ -282,7 +278,7 @@ def order_poset(lattice: Lattice, labeling: ArrowLabeling, kind: str) -> OrderRe
     if kind == "kappa":
         up_rel = _kappa_up(lattice, extended_kappa_table(lattice, labeling))
     else:
-        up_rel = _clo_up(lattice, _core_labels(lattice, labeling)[0])
+        up_rel = supersets(_core_labels(lattice, labeling)[0])
     # both orders refine the lattice order, whose ids form a linear extension
     hasse = _backend.transitive_reduction(up_rel)
     return OrderRelation(kind=kind, up=tuple(up_rel), hasse=tuple(hasse))
@@ -308,7 +304,7 @@ def compare_orders(
     exk = extended_kappa_table(lattice, labeling)
     by_kappa = _kappa_up(lattice, exk)
     cores, belowj, kge = _core_labels(lattice, labeling)
-    by_clo = _clo_up(lattice, cores)
+    by_clo = supersets(cores)
     mismatch = next(
         ((x, lowest_bit(k ^ c)) for x, (k, c) in enumerate(zip(by_kappa, by_clo)) if k != c),
         None,

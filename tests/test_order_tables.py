@@ -34,6 +34,7 @@ from kappalat import (
     extended_kappa,
     extended_kappa_table,
     full_labeling,
+    gen_boolean,
     gen_fig1,
     gen_weak_sym,
     jlabel,
@@ -47,7 +48,7 @@ from kappalat import (
 from kappalat.cli import cli_main
 from kappalat.errors import InternalInvariant
 from kappalat.intervals import derived_poset, label_tables
-from kappalat.orders import _check_joinands, _clo_up, _core_labels
+from kappalat.orders import _check_cores, _check_joinands, _core_labels
 from strategies import build, lattices
 
 
@@ -175,6 +176,20 @@ def test_joinand_checks_accept_only_the_canonical_representation():
                     assert str(info.value) == expected
 
 
+def test_extended_kappa_table_checks_kappa_orthogonality():
+    # boolean(2) with the top's two arrows swapped and kappa the identity:
+    # its canonical joinands 10 and 01 form an antichain joining to 11 and
+    # every image check passes, so only 01 <= kappa(10) fails
+    lat = gen_boolean(2)
+    assert lat.names == ("00", "10", "01", "11")
+    lab = full_labeling(lat)
+    gamma = {**lab.gamma, (3, 1): lab.gamma[3, 2], (3, 2): lab.gamma[3, 1]}
+    bad = lab._replace(gamma=gamma, kappa={1: 1, 2: 2})
+    message = "canonical joinand '01' of '11' is not below kappa('10')"
+    assert _raised(extended_kappa, lat, bad, 3) == message
+    assert _raised(extended_kappa_table, lat, bad) == message
+
+
 def test_clo_order_checks_each_element_joins_its_core_labels():
     # without kappa_dual every kge mask, hence every core label set, is
     # empty, and the first element above the bottom is not their join
@@ -186,7 +201,7 @@ def test_clo_order_checks_each_element_joins_its_core_labels():
     # test that cores[x] lies below x sees that the bottom is not their join
     cores = [core | 1 << lat.top for core in _core_labels(lat, full_labeling(lat))[0]]
     with pytest.raises(InternalInvariant, match=r"^'0' is not the join of its core label set$"):
-        _clo_up(lat, cores)
+        _check_cores(lat, cores)
 
 
 def test_label_tables_reject_a_kappa_dual_value_that_is_not_join_irreducible():
@@ -270,28 +285,68 @@ def _clo_corruptions(lat, lab):
                 yield lab._replace(gamma=gamma, kappa_dual=kappa_dual)
 
 
-@pytest.mark.parametrize("name", ["fig1", "ex424", "boolean(3)", "weak_sym(3)"])
-def test_clo_table_fails_where_pointwise_fails_first(name):
-    # the clo check must name the first x in id order that is not the join
-    # of its core labels, each core computed with the single-element
-    # x_down; compare_orders raises what the kappa table raises, else that
-    lat, lab = next((lat, lab) for n, lat, lab in labeled_corpus() if n == name)
-    failed = 0
+def _clo_expectations(lat, lab):
+    """(labeling, clo message, kappa message) for each of _clo_corruptions.
+
+    The clo message names the first x in id order that is not the join of
+    its core labels, each core computed with the single-element x_down;
+    the kappa message is the first that the single-element extended_kappa
+    raises in id order.  Either is None where nothing fails.
+    """
     for bad in _clo_corruptions(lat, lab):
         belowj, kge = label_tables(lat, bad, {j: 1 << j for j in bits_of(bad.jirr)})
         first = next(
             (x for x in range(lat.n) if lat.join(bits_of(belowj[x] & kge[x_down(lat, x)])) != x),
             None,
         )
-        expected = None if first is None else (
+        by_clo = None if first is None else (
             f"{lat.names[first]!r} is not the join of its core label set"
         )
-        failed += expected is not None
-        assert _raised(order_poset, lat, bad, "clo") == expected
         by_kappa = next(
             filter(None, (_raised(extended_kappa, lat, bad, x) for x in range(lat.n))), None
         )
-        assert _raised(compare_orders, lat, bad) == (by_kappa or expected)
+        yield bad, by_clo, by_kappa
+
+
+CLO_CORPUS = ["fig1", "ex424", "boolean(3)", "weak_sym(3)"]
+
+
+@pytest.mark.parametrize("name", CLO_CORPUS)
+def test_clo_table_fails_where_pointwise_fails_first(name):
+    # the clo check must name the first x in id order that is not the join
+    # of its core labels; compare_orders raises what the kappa table
+    # raises, else that
+    lat, lab = next((lat, lab) for n, lat, lab in labeled_corpus() if n == name)
+    failed = 0
+    for bad, by_clo, by_kappa in _clo_expectations(lat, lab):
+        failed += by_clo is not None
+        assert _raised(order_poset, lat, bad, "clo") == by_clo
+        assert _raised(compare_orders, lat, bad) == (by_kappa or by_clo)
+    assert failed
+
+
+def test_clo_check_computes_no_join_on_failure(monkeypatch):
+    # the core label check names the failing element off its two scans,
+    # with no join, meet or x_down; compare_orders is held to that only
+    # where the kappa table passes, since its failure path reruns
+    # extended_kappa by design
+    cases = [
+        (lat, case)
+        for n, lat, lab in labeled_corpus() if n in CLO_CORPUS
+        for case in _clo_expectations(lat, lab)
+    ]
+
+    def refuse(*args):
+        raise AssertionError("the clo check computed a join or meet")
+
+    for owner, name in ((kappalat.orders, "x_down"), (Lattice, "join"), (Lattice, "meet")):
+        monkeypatch.setattr(owner, name, refuse)
+    failed = 0
+    for lat, (bad, by_clo, by_kappa) in cases:
+        assert _raised(order_poset, lat, bad, "clo") == by_clo
+        if by_kappa is None:
+            failed += by_clo is not None
+            assert _raised(compare_orders, lat, bad) == by_clo
     assert failed
 
 
@@ -311,7 +366,18 @@ def test_table_builders_call_no_single_element_path(monkeypatch):
         monkeypatch.setattr(owner, name, refuse)
     for name, lat, lab in corpus:
         extended_kappa_table(lat, lab)
-        _clo_up(lat, _core_labels(lat, lab)[0])
+        _core_labels(lat, lab)
+
+
+def _run_optimized(script):
+    """stdout of script run under python -O, with this checkout's kappalat."""
+    src = str(Path(kappalat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_extended_kappa_table_checks_survive_python_O():
@@ -334,12 +400,27 @@ def test_extended_kappa_table_checks_survive_python_O():
             print("InternalInvariant:", exc)
         """
     )
-    src = str(Path(kappalat.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=False
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (
+    assert _run_optimized(script) == (
         "InternalInvariant: up-arrow labels of extended_kappa('3') differ from its joinands\n"
+    )
+
+
+def test_core_label_check_survives_python_O():
+    # without kappa_dual every core label set is empty (see
+    # test_clo_order_checks_each_element_joins_its_core_labels)
+    script = textwrap.dedent(
+        """
+        from kappalat import full_labeling, gen_fig1, order_poset
+        from kappalat.errors import InternalInvariant
+
+        assert False, "asserts run, so -O is not in effect"
+        lat = gen_fig1()
+        try:
+            order_poset(lat, full_labeling(lat)._replace(kappa_dual={}), "clo")
+        except InternalInvariant as exc:
+            print("InternalInvariant:", exc)
+        """
+    )
+    assert _run_optimized(script) == (
+        "InternalInvariant: '1' is not the join of its core label set\n"
     )
