@@ -20,13 +20,15 @@ joins to x iff S is within down[c] for no lower cover c of x.  So the
 canonical joinands of every element, its extended kappa image, x_down
 and the core label sets cost a few mask operations per cover, and no
 per-element join or meet.  The core label check names the first failing
-element off its own scans (see _check_cores); only extended_kappa_table
+element off its own cover scan (see _core_labels); extended_kappa_table
 reruns the single-element functions on failure, in id order, so that its
-first failing element raises their message.  Both orders refine the
-lattice order, so they are partial orders with no check (see
-order_poset).  The single-element functions (cjr, extended_kappa,
-core_label, kappa_leq, clo_leq) compute from the definitions and serve
-as their oracle.  order_poset returns an OrderRelation, a named tuple.
+first failing element raises their message.  A check that earlier ones
+imply is not made, and the docstring that would make it proves it.  Both
+orders refine the lattice order, so they are partial orders with no
+check (see order_poset).  The single-element functions (cjr,
+extended_kappa, core_label, kappa_leq, clo_leq) compute from the
+definitions and serve as their oracle.  order_poset returns an
+OrderRelation, a named tuple.
 """
 
 from __future__ import annotations
@@ -140,9 +142,15 @@ def extended_kappa_table(lattice: Lattice, labeling: ArrowLabeling) -> tuple[int
     If any check fails, the single-element extended_kappa runs on every
     element in id order, so the first failing element raises its own
     message: which of the four it raises depends on the per-element check
-    order, which the per-cover pass does not keep.  When all pass, the
-    table is a permutation: exk(x1) = exk(x2) gives D[x1] = D[x2], and
-    x = join(D[x]) gives x1 = x2.
+    order, which the per-cover pass does not keep.  Should no element
+    raise, the two steps disagree, and InternalInvariant says so; a table
+    comes only from the per-cover pass.  When all pass, the table is a
+    permutation: exk(x1) = exk(x2) gives D[x1] = D[x2], and x = join(D[x])
+    gives x1 = x2.
+
+    The antichain test stays: the others imply it when labeling.jirr
+    holds only join-irreducibles, but a label from a wider mask need not
+    be one, and no proof covers that case.
     """
     n = lattice.n
     up, down = lattice.up, lattice.down
@@ -166,7 +174,9 @@ def extended_kappa_table(lattice: Lattice, labeling: ArrowLabeling) -> tuple[int
         table = tuple([m.bit_length() - 1 for m in kd])
         if list(map(up_labels.__getitem__, table)) == down_labels:
             return table
-    return tuple([extended_kappa(lattice, labeling, x) for x in range(n)])
+    for x in range(n):
+        extended_kappa(lattice, labeling, x)
+    raise InternalInvariant("the extended kappa table failed a check but every element passes")
 
 
 def x_down(lattice: Lattice, x: int) -> int:
@@ -209,31 +219,19 @@ class OrderRelation(NamedTuple):
         return bool((self.up[x] >> y) & 1)
 
 
-def _check_cores(lattice: Lattice, cores: Sequence[int]) -> None:
-    """Raise, naming the first x in id order, unless each x joins cores[x].
-
-    S joins to x iff S lies in down[x] and in down[c] for no lower cover c
-    of x (see extended_kappa_table).  lattice.covers is sorted by the
-    upper element, so the first x that fails is the smaller of the first
-    x with cores[x] not within down[x] and the first cover (u, l) with
-    cores[u] within down[l]: one AND per element and per cover, no join.
-    """
-    n, down = lattice.n, lattice.down
-    first = min(
-        next((x for x, (core, d) in enumerate(zip(cores, down)) if core & d != core), n),
-        next((u for u, l in lattice.covers if cores[u] & down[l] == cores[u]), n),
-    )
-    if first < n:
-        raise InternalInvariant(f"{lattice.names[first]!r} is not the join of its core label set")
-
-
 def _core_labels(lattice: Lattice, labeling: ArrowLabeling) -> tuple[list[int], ...]:
     """cores[x] = jlabel[x_down, x] for every x, with the belowj/kge tables.
 
     cores[x] = belowj[x] & kge[x_down(x)].  x_down(x), the meet of x and
     its lower covers, is the highest bit of acc[x], the AND of down[x]
-    and down[l] over the lower covers l: one AND per cover.  Checked by
-    _check_cores, on which the core label order's posethood rests.
+    and down[l] over the lower covers l: one AND per cover.
+
+    Each x must join cores[x], on which the core label order's posethood
+    rests.  cores[x] lies in down[x] for any labeling (belowj is or_below
+    over the bits of labeling.jirr), so by the cover test of
+    extended_kappa_table only the covers are scanned, one AND each.  They
+    are sorted by upper element, so the first failing cover (u, l), with
+    cores[u] within down[l], names the first failing x.
     """
     belowj, kge = label_tables(lattice, labeling, {j: 1 << j for j in bits_of(labeling.jirr)})
     down = lattice.down
@@ -241,7 +239,9 @@ def _core_labels(lattice: Lattice, labeling: ArrowLabeling) -> tuple[list[int], 
     for u, l in lattice.covers:
         acc[u] &= down[l]
     cores = [bj & kge[m.bit_length() - 1] for bj, m in zip(belowj, acc)]
-    _check_cores(lattice, cores)
+    for u, l in lattice.covers:
+        if cores[u] & down[l] == cores[u]:
+            raise InternalInvariant(f"{lattice.names[u]!r} is not the join of its core label set")
     return cores, belowj, kge
 
 
@@ -265,7 +265,7 @@ def order_poset(lattice: Lattice, labeling: ArrowLabeling, kind: str) -> OrderRe
     extended_kappa_table and below[z] = {y | exk[y] <= z}.  clo:
     up_rel = supersets of the core label sets cores[x] =
     belowj[x] & kge[x_down] (see intervals.label_tables), each x checked
-    to be the join of its core labels by _check_cores.
+    to be the join of its core labels by _core_labels.
 
     Both relations refine the lattice order, hence are partial orders:
     kappa's up[x] & below[exk[x]] holds x as exk is a permutation; for

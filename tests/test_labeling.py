@@ -137,7 +137,8 @@ class TestSemidistributivity:
     def test_full_labeling_reports_a_missing_witness(self, monkeypatch):
         # m3 lacks labels, so a witness search that finds nothing is a bug
         monkeypatch.setattr(kappalat.labeling, "semidistributive_witness", lambda lat: None)
-        with pytest.raises(InternalInvariant, match="lacks a label"):
+        message = "^an arrow lacks a label but no semidistributive law fails$"
+        with pytest.raises(InternalInvariant, match=message):
             full_labeling(m3())
 
     def test_full_labeling_skips_the_witness_search_when_labels_exist(self, monkeypatch):
@@ -172,11 +173,11 @@ class TestSemidistributivity:
         # satisfies its law, so no pair of the whole chain can be reported
         lat = gen_chain(4)
         everything = list(range(lat.n))
-        with pytest.raises(InternalInvariant, match="every pair agrees"):
+        with pytest.raises(InternalInvariant, match="^fiber bound escaped but every pair agrees$"):
             _backend._locate_pair(
                 lat.up, lat.down, lowest_bit, highest_bit, lat.top, lat.top, everything
             )
-        with pytest.raises(InternalInvariant, match="every pair agrees"):
+        with pytest.raises(InternalInvariant, match="^fiber bound escaped but every pair agrees$"):
             _backend._locate_pair(
                 lat.down, lat.up, highest_bit, lowest_bit, lat.bottom, lat.bottom, everything
             )
@@ -309,6 +310,24 @@ class TestKappa:
             for arrow in lat.covers:
                 assert lab.mu[arrow] == lab.kappa[lab.gamma[arrow]]
 
+    def test_full_labeling_reports_mu_off_kappa_o_gamma(self, monkeypatch):
+        # neither kappa table reads the arrows leaving fig1's top, which has
+        # three lower covers, so one meet label moved there breaks only
+        # mu = kappa o gamma
+        lat = gen_fig1()
+        first, second = ((lat.top, lower) for lower in lat.cover_downs[lat.top][:2])
+        exact = _backend.arrow_labels
+
+        def one_meet_label_moved(up, down, covers):
+            gamma, mu = exact(up, down, covers)
+            mu[covers.index(first)] = mu[covers.index(second)]
+            return gamma, mu
+
+        monkeypatch.setattr(_backend, "arrow_labels", one_meet_label_moved)
+        message = "^mu differs from kappa o gamma on some arrow$"
+        with pytest.raises(InternalInvariant, match=message):
+            full_labeling(lat)
+
     def test_join_meet_identities(self):
         for _, lat, lab in labeled_corpus():
             for j, m in lab.kappa.items():
@@ -356,4 +375,6 @@ def test_invariant_checks_survive_python_O():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=False
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("InternalInvariant: kappa and kappa_dual")
+    assert proc.stdout == (
+        "InternalInvariant: kappa and kappa_dual are not inverse bijections jirr <-> mirr\n"
+    )

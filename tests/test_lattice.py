@@ -31,7 +31,7 @@ from kappalat.errors import (
     UnknownElement,
     UnknownName,
 )
-from kappalat.lattice import _topological_order
+from kappalat.lattice import _raise_first_defect, _topological_order
 from strategies import build, large_orders, lattices
 
 
@@ -153,8 +153,18 @@ class TestBuild:
         # after the meet certificate failed, must not hand back None
         lat = gen_fig1()
         rows = [(x, lat.down[x]) for x, cd in enumerate(lat.cover_downs) if len(cd) > 1]
-        with pytest.raises(InternalInvariant, match="no row lacks a meet"):
+        message = "^the meet certificate failed but no row lacks a meet$"
+        with pytest.raises(InternalInvariant, match=message):
             _backend._first_failing_pair(lat.down, rows)
+
+    def test_item_scan_that_finds_no_defect_reports_a_broken_invariant(self):
+        # the scan runs only after a bulk input test failed, so a clean
+        # input, on which every bulk test passes, must not pass it silently
+        names = ["0", "a", "1"]
+        index = {name: i for i, name in enumerate(names)}
+        message = "^a bulk input test failed but the scan finds no defect$"
+        with pytest.raises(InternalInvariant, match=message):
+            _raise_first_defect(names, index, [("a", "0"), ("1", "a")])
 
     def test_no_bounds(self):
         with pytest.raises(NoBoundedStructure):

@@ -48,7 +48,7 @@ from kappalat import (
 from kappalat.cli import cli_main
 from kappalat.errors import InternalInvariant
 from kappalat.intervals import derived_poset, label_tables
-from kappalat.orders import _check_cores, _check_joinands, _core_labels
+from kappalat.orders import _check_joinands, _core_labels
 from strategies import build, lattices
 
 
@@ -176,7 +176,16 @@ def test_joinand_checks_accept_only_the_canonical_representation():
                     assert str(info.value) == expected
 
 
-def test_extended_kappa_table_checks_kappa_orthogonality():
+def test_joinand_check_rejects_a_set_that_does_not_join_to_x():
+    lat = gen_boolean(2)
+    lab = full_labeling(lat)
+    message = "canonical joinands of '11' are not join-irreducibles joining to it"
+    # '10' alone joins to '10'; the top is not join-irreducible
+    assert _raised(_check_joinands, lat, lab, 3, 1 << 1) == message
+    assert _raised(_check_joinands, lat, lab, 3, 1 << 3) == message
+
+
+def test_extended_kappa_table_checks_kappa_orthogonality(monkeypatch):
     # boolean(2) with the top's two arrows swapped and kappa the identity:
     # its canonical joinands 10 and 01 form an antichain joining to 11 and
     # every image check passes, so only 01 <= kappa(10) fails
@@ -188,6 +197,10 @@ def test_extended_kappa_table_checks_kappa_orthogonality():
     message = "canonical joinand '01' of '11' is not below kappa('10')"
     assert _raised(extended_kappa, lat, bad, 3) == message
     assert _raised(extended_kappa_table, lat, bad) == message
+    # should the per-element rerun raise nothing, no table may be returned
+    monkeypatch.setattr(kappalat.orders, "extended_kappa", lambda lattice, labeling, x: x)
+    message = "the extended kappa table failed a check but every element passes"
+    assert _raised(extended_kappa_table, lat, bad) == message
 
 
 def test_clo_order_checks_each_element_joins_its_core_labels():
@@ -197,11 +210,6 @@ def test_clo_order_checks_each_element_joins_its_core_labels():
     bad = full_labeling(lat)._replace(kappa_dual={})
     with pytest.raises(InternalInvariant, match=r"^'1' is not the join of its core label set$"):
         order_poset(lat, bad, "clo")
-    # with the top added, no core set lies below a lower cover, so only the
-    # test that cores[x] lies below x sees that the bottom is not their join
-    cores = [core | 1 << lat.top for core in _core_labels(lat, full_labeling(lat))[0]]
-    with pytest.raises(InternalInvariant, match=r"^'0' is not the join of its core label set$"):
-        _check_cores(lat, cores)
 
 
 def test_label_tables_reject_a_kappa_dual_value_that_is_not_join_irreducible():

@@ -186,20 +186,30 @@ def test_arrow_labels(order):
     lat = build(*order)
     expected = brute_arrow_labels(lat)
     for arrow, (j, m) in expected.items():
+        upper, lower = arrow
         if j is None:
             with pytest.raises(NotSemidistributive):
                 join_label(lat, arrow)
         else:
             assert join_label(lat, arrow) == j
+            # join_label's proof: one lower cover, met by lower
+            assert len(lat.cover_downs[j]) == 1
+            assert lat.meet((lower, j)) == lat.star_down(j)
         if m is None:
             with pytest.raises(NotSemidistributive):
                 meet_label(lat, arrow)
         else:
             assert meet_label(lat, arrow) == m
+            assert len(lat.cover_ups[m]) == 1
+            assert lat.join((upper, m)) == lat.star_up(m)
     if all(j is not None and m is not None for j, m in expected.values()):
         lab = full_labeling(lat)
         assert lab.gamma == {arrow: j for arrow, (j, _) in expected.items()}
         assert lab.mu == {arrow: m for arrow, (_, m) in expected.items()}
+        # full_labeling's proof of the two kappa identities
+        for j, m in lab.kappa.items():
+            assert lat.join((j, m)) == lat.star_up(m)
+            assert lat.meet((j, m)) == lat.star_down(j)
     else:
         with pytest.raises(NotSemidistributive) as info:
             full_labeling(lat)

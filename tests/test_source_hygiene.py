@@ -17,6 +17,9 @@
   one check imports the package rather than parsing it.
 - Every parameter of every function but ``self`` is read in the
   function's body, so no argument is passed for nothing.
+- Every ``raise InternalInvariant(...)`` has its message in a test: the
+  longest literal part of the message occurs verbatim in some test file,
+  so no identity check goes without a test that can make it fire.
 """
 
 import ast
@@ -28,7 +31,8 @@ import pytest
 
 import kappalat
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kappalat"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "kappalat"
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
@@ -100,6 +104,29 @@ def unused_parameters(source: str) -> list[str]:
             if p is not None and p.arg != "self" and p.arg not in read
         ]
     return unused
+
+
+def invariant_messages(source: str) -> list[str]:
+    """Longest literal part of the message of each ``raise InternalInvariant(...)``."""
+    messages = []
+    for node in ast.walk(ast.parse(source)):
+        call = node.exc if isinstance(node, ast.Raise) else None
+        if isinstance(call, ast.Call) and ast.unparse(call.func) == "InternalInvariant":
+            text = call.args[0]
+            parts = text.values if isinstance(text, ast.JoinedStr) else [text]
+            messages.append(max((p.value for p in parts if isinstance(p, ast.Constant)), key=len))
+    return messages
+
+
+def unexercised_invariants(sources: Iterable[str], tests: Iterable[str]) -> list[str]:
+    """Messages of invariant_messages(sources) that no text of tests holds."""
+    tests = list(tests)
+    return [
+        message
+        for source in sources
+        for message in invariant_messages(source)
+        if not any(message in test for test in tests)
+    ]
 
 
 def top_level_names(source: str) -> set[str]:
@@ -190,6 +217,27 @@ def test_unused_parameter_is_reported():
         "        return h\n"
     )
     assert unused_parameters(source) == ["f(b) (line 1)", "f(c) (line 1)", "f(extra) (line 1)"]
+
+
+def test_every_invariant_message_occurs_in_a_test():
+    sources = [p.read_text(encoding="utf-8") for p in MODULES]
+    assert len([m for source in sources for m in invariant_messages(source)]) >= 10
+    tests = [p.read_text(encoding="utf-8") for p in TESTS.rglob("*.py")]
+    assert unexercised_invariants(sources, tests) == []
+
+
+def test_unexercised_invariant_is_reported():
+    source = (
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise InternalInvariant(f'{x!r} broke a planted identity')\n"
+        "    if x is None:\n"
+        "        raise InternalInvariant('a covered message')\n"
+        "    raise ValueError('not an invariant')\n"
+    )
+    tests = ["with pytest.raises(InternalInvariant, match='a covered message'):"]
+    assert invariant_messages(source) == [" broke a planted identity", "a covered message"]
+    assert unexercised_invariants([source], tests) == [" broke a planted identity"]
 
 
 def test_all_matches_the_re_exports():
