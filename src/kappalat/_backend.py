@@ -6,10 +6,8 @@ including x.  Ids form a linear extension (x < y in the order implies
 id(x) < id(y)), so the only possible minimum of a set is its lowest bit
 and the only possible maximum its highest bit.  There is one copy of
 each kernel: the meet-law sweep is the join-law sweep on the dual order
-(up and down swapped, lowest and highest bit swapped), the join side
-of the lattice certificate is its meet side on the dual order, and the
-interval sweep takes per-element top masks, so it knows nothing of the
-kinds.
+(up and down swapped, lowest and highest bit swapped), and the interval
+sweep takes per-element top masks, so it knows nothing of the kinds.
 The exception is arrow_labels, which inlines cover_join_label and
 cover_meet_label: two calls per cover cost ~315 against ~245 us on
 boolean(7) (best of 200, 2-CPU VM).  tests/test_labeling.py keeps the
@@ -19,6 +17,7 @@ two equal through helpers.per_cover_labels.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import combinations
 from operator import itemgetter
 
 from ._bits import highest_bit, lowest_bit, pick
@@ -31,101 +30,88 @@ def backend_name() -> str:
 
 
 def first_missing_meet(
-    up: Sequence[int],
-    down: Sequence[int],
-    cover_ups: Sequence[Sequence[int]],
-    cover_downs: Sequence[Sequence[int]],
+    down: Sequence[int], cover_downs: Sequence[Sequence[int]]
 ) -> tuple[int, int] | None:
-    """First incomparable pair (by lex id order) lacking a greatest lower bound.
+    """First pair of lower covers that are nested or lack a meet, or None.
 
-    Bounded posets are lattices iff all pairwise meets exist, so this is
-    the whole lattice test when top and bottom are known to be unique.
-    cover_ups[x] / cover_downs[x] list the upper / lower covers of x;
-    mirr denotes the elements with exactly one upper cover, and the rows
-    are the elements with two or more lower covers.  The meet of a and b
+    cover_downs[u] lists the lower covers of u in ascending id order.
+    The pass visits u in id order and the pairs a < b of its lower
+    covers in lex order, at one AND each: common = down[a] & down[b],
+    whose only possible maximum is its highest bit h.  The pair fails if
+    h is a (then common is down[a], so a <= b) or if common is not
+    down[h] (a and b have no meet; an empty common has h = -1, and
+    down[-1] is not empty).  The result is the first failing pair
+    (a, b), or None if none fails.  None decides two things.
+
+    No cover is implied.  A cover u > l is implied iff some z lies
+    strictly between l and u.  A path of covers down from u to z starts
+    with some u > z', and z' != l since z' >= z > l; so l < z', hence
+    id(l) < id(z'), and the pair (l, z') of lower covers of u fails.
+    Conversely a failing pair with a <= b puts b strictly between a
+    and u.
+
+    A poset with a top is a lattice.  Theorem: in a finite poset with a
+    top in which every two lower covers of any element have a meet,
+    every two elements have a meet.  (None gives the hypothesis: the
+    meet of a passing pair is h.)  Suppose not.  Among the pairs x, y
+    that lack a meet, and their minimal common upper bounds z (the top
+    is a common upper bound), pick one with the least id(z).
+
+    - x and y are incomparable, so x, y < z, and z has lower covers
+      a >= x and b >= y.  Also a != b, or a would be a common upper
+      bound below z.
+    - Let m = a ^ b.  Every common lower bound of x and y lies below a
+      and b, hence below m.
+    - The pair (x, m) has the common upper bound a < z, so a minimal
+      one below a, of id less than id(z); by the choice of z it has a
+      meet x'.  Likewise y' = y ^ m exists.
+    - down[x'] & down[y'] = down[x] & down[y] & down[m] = down[x] &
+      down[y], so x' and y' lack a meet.  But both lie below m < z, so
+      they have a minimal common upper bound below m, of id less than
+      id(z): a contradiction.
+
+    A finite poset with a top and all pairwise meets is a lattice (the
+    join of x and y is the meet of their common upper bounds), so with
+    the bounds checked, None is the whole lattice test.  A failing pair
+    names no witness: first_failing_pair finds that.
+    """
+    for lows in cover_downs:
+        for a, b in combinations(lows, 2):
+            common = down[a] & down[b]
+            h = common.bit_length() - 1
+            if h == a or common != down[h]:
+                return (a, b)
+    return None
+
+
+def first_failing_pair(
+    down: Sequence[int], cover_downs: Sequence[Sequence[int]]
+) -> tuple[int, int]:
+    """Lex-first pair of elements without a greatest lower bound.
+
+    The order must be a bounded poset that is not a lattice.  The rows
+    are its elements with two or more lower covers.  The meet of a and b
     exists iff common = down[a] & down[b] is down[common's highest bit].
+    The search tests the pairs of rows a < b in lex order and returns
+    the first that fails; should none fail, it raises InternalInvariant,
+    never returns None.
 
-    A bounded poset is a lattice iff (a) every down[x] is the intersection
-    of down[m] over the m in mirr above x, and (b) for every x and every m
-    in mirr, down[x] & down[m] is again a principal down-set: by (a) any
-    down[x] & down[y] is then a chain of such intersections.  Both reduce
-    to a check at the rows:
-
-    - (b) needs checking only there.  If x has exactly one lower cover c,
-      then down[x] & down[m] = down[c] & down[m] for every m incomparable
-      to x, so x passes when c does (bottom-up induction), and a
-      comparable m passes trivially.
-    - (a) follows from (b).  Take x maximal where (a) fails: x has upper
-      covers u != v and some y <= u, v with y not <= x; (a) holds at v,
-      so some m in mirr above v is not above u, and down[u] & down[m]
-      holds x and y but has no maximum, which would lie between x and
-      its cover u.
-
-    That meet-side certificate costs one AND per row and m in mirr.  Its
-    dual decides the same thing: the dual of a bounded poset is bounded,
-    so the argument above, with up and down and the two cover lists
-    swapped, shows that all joins exist iff up[x] & up[j] is up[its
-    lowest bit] for every x with two or more upper covers and every j
-    with exactly one lower cover.  A finite bounded poset has all meets
-    iff it has all joins (the join of a and b is the meet of their
-    common upper bounds, which hold the top, and dually), so either
-    certificate is the lattice test.  With one bottom and one top, every
-    other element has at least one lower cover and one upper cover, so
-    there are n - 1 - |rows| join-irreducibles and n - 1 - |mirr|
-    elements with two or more upper covers; the side with fewer pairs
-    runs, the meet side on a tie.
-
-    Only when the certificate fails does the pair search run, with the
-    meet test on the pairs of rows a < b in id order, whichever side
-    failed; it ends in the witness pair or, should it find none,
-    InternalInvariant, never in None.  That pair is the lex-first one:
-    let a be the first row that lacks a meet with something, and b the
-    least element that lacks a meet with a.  If b had a single lower
-    cover c, then c would lack a meet with a too, and c < b.  If b < a,
-    then row b would fail before row a.  So b is a row and b > a, and
-    (a, b) is the first failing pair of rows.  It is also the lex-first
-    pair of the poset: by the argument for b, the first element of that
-    pair is a row, and no row before a lacks a meet.
+    That pair is the lex-first one: let a be the first row that lacks a
+    meet with something, and b the least element that lacks a meet with
+    a.  If b had a single lower cover c, then c would lack a meet with a
+    too, and c < b.  If b < a, then row b would fail before row a.  So b
+    is a row and b > a, and (a, b) is the first failing pair of rows.
+    It is also the lex-first pair of the poset: by the argument for b,
+    the first element of that pair is a row, and no row before a lacks
+    a meet.
     """
-    n = len(down)
-    rows = [x for x, cd in enumerate(cover_downs) if len(cd) > 1]
-    mirr = [m for m, cu in enumerate(cover_ups) if len(cu) == 1]
-    if len(rows) * len(mirr) <= (n - 1 - len(rows)) * (n - 1 - len(mirr)):
-        passed = _all_principal(down, rows, mirr, False)
-    else:
-        corows = [x for x, cu in enumerate(cover_ups) if len(cu) > 1]
-        jirr = [j for j, cd in enumerate(cover_downs) if len(cd) == 1]
-        passed = _all_principal(up, corows, jirr, True)
-    return None if passed else _first_failing_pair(down, [(x, down[x]) for x in rows])
-
-
-def _all_principal(masks, rows, irr, lowest):
-    """Whether masks[x] & masks[m] is principal for every x in rows, m in irr.
-
-    Written for the meet side: masks are the down-sets, and the only
-    possible maximum of an AND is its highest bit.  On the join side
-    (lowest true) masks are the up-sets and the only possible minimum is
-    the lowest bit: common ^ (common - 1) keeps the lowest set bit of
-    common and the zeros below it (see transitive_reduction).
-    """
-    irr_masks = [masks[m] for m in irr]
-    for x in rows:
-        mx = masks[x]
-        for mi in irr_masks:
-            common = mx & mi
-            end = common ^ (common - 1) if lowest else common
-            if common != masks[end.bit_length() - 1]:
-                return False
-    return True
-
-
-def _first_failing_pair(down, rows):
+    rows = [(x, down[x]) for x, lows in enumerate(cover_downs) if len(lows) > 1]
     for i, (a, da) in enumerate(rows):
         for b, db in rows[i + 1:]:
             common = da & db
             if common != down[common.bit_length() - 1]:
                 return (a, b)
-    raise InternalInvariant("the meet certificate failed but no row lacks a meet")
+    raise InternalInvariant("the lower-cover test failed but no row lacks a meet")
 
 
 def cover_join_label(up: Sequence[int], down: Sequence[int], upper: int, lower: int) -> int:

@@ -7,8 +7,13 @@ check.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from functools import cache
+from pathlib import Path
 
+import kappalat
 from kappalat import (
     Lattice,
     SetFamilyPoset,
@@ -27,7 +32,14 @@ from kappalat import (
     is_wide_interval,
     jlabel,
 )
-from kappalat.errors import CyclicCovers, DuplicateName, RedundantCover, UnknownName
+from kappalat.errors import (
+    CyclicCovers,
+    DuplicateName,
+    NoBoundedStructure,
+    NotALattice,
+    RedundantCover,
+    UnknownName,
+)
 
 
 @cache
@@ -251,6 +263,34 @@ def brute_first_missing_meet(n: int, covers) -> tuple[int, int] | None:
     return None
 
 
+def brute_order_defect(n: int, covers) -> tuple[type, str] | None:
+    """(error type, message) build_lattice must raise on an order, or None.
+
+    Elements 0..n-1, named "0".."n-1", are listed in a linear extension
+    and ordered by the closure of the (upper, lower) pairs.  The first
+    pair in sorted order with an element strictly between its ends is an
+    implied cover, named with the least such element; then an order
+    without exactly one minimal and one maximal element has no bounds;
+    then brute_first_missing_meet names the pair without a meet.
+    """
+    leq = order_closure(n, covers)
+    for u, l in sorted(covers):
+        between = [z for z in range(n) if z not in (u, l) and leq[l][z] and leq[z][u]]
+        if between:
+            return RedundantCover, f"cover '{u}' > '{l}' is implied via '{between[0]}'"
+    minimal = sum(1 for x in range(n) if not any(leq[y][x] for y in range(n) if y != x))
+    maximal = sum(1 for x in range(n) if not any(leq[x][y] for y in range(n) if y != x))
+    if minimal != 1 or maximal != 1:
+        return NoBoundedStructure, (
+            f"{minimal} minimal and {maximal} maximal elements; need exactly one of each"
+        )
+    missing = brute_first_missing_meet(n, covers)
+    if missing is None:
+        return None
+    a, b = missing
+    return NotALattice, f"elements '{a}' and '{b}' have no greatest lower bound"
+
+
 def order_masks(n: int, covers) -> tuple[list[int], list[int]]:
     """up and down masks of the order generated by (upper, lower) pairs.
 
@@ -380,3 +420,71 @@ def per_cover_labels(lattice: Lattice) -> tuple[list[int], list[int]]:
         [cover_join_label(up, down, u, l) for u, l in lattice.covers],
         [cover_meet_label(up, down, u, l) for u, l in lattice.covers],
     )
+
+
+def run_optimized(script: str) -> str:
+    """stdout of script run under python -O, with this checkout's kappalat."""
+    src = str(Path(kappalat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _phi_sub_mul(x: tuple[int, int], k: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """x - k y in Z[phi], each a pair (a, b) = a + b phi, with phi^2 = phi + 1."""
+    (a, b), (c, d), (e, f) = x, k, y
+    return a - c * e - d * f, b - c * f - d * e - d * f
+
+
+def _phi_positive(x: tuple[int, int]) -> bool:
+    """Whether a + b phi > 0, exactly: 2(a + b phi) = (2a + b) + b sqrt(5)."""
+    p, q = 2 * x[0] + x[1], x[1]
+    if p >= 0 and q >= 0:
+        return p > 0 or q > 0
+    if p <= 0 and q <= 0:
+        return False
+    return (p > 0) == (p * p > 5 * q * q)
+
+
+def weak_order(coxeter_matrix) -> Lattice:
+    """The right weak order of a finite Coxeter group, by breadth-first search.
+
+    coxeter_matrix[s][t] is the order m of st, 2 to 5.  An element w is
+    held as the images w(alpha_s) of the simple roots, with coefficients
+    in Z[phi] as pairs (a, b) = a + b phi, so no float rounding merges or
+    splits elements.  s(alpha_t) = alpha_t - A[s][t] alpha_s, with
+    Cartan entries A[s][t] A[t][s] = 4 cos^2(pi/m): -1 and -1 for m = 3,
+    -1 and -2 for m = 4, -phi and -phi for m = 5.  ws covers w iff
+    w(alpha_s) is positive (a root's coefficients share one sign), and
+    ws(alpha_t) = w(alpha_t) - A[s][t] w(alpha_s).  Elements are named
+    by their first-found reduced word ("e" for the identity) and listed
+    in breadth-first order, a linear extension.
+    """
+    r = len(coxeter_matrix)
+    entries = {2: ((0, 0), (0, 0)), 3: ((-1, 0), (-1, 0)), 4: ((-1, 0), (-2, 0)),
+               5: ((0, -1), (0, -1))}
+    cartan = [[(2, 0)] * r for _ in range(r)]
+    for s in range(r):
+        for t in range(s + 1, r):
+            cartan[s][t], cartan[t][s] = entries[coxeter_matrix[s][t]]
+    identity = tuple(tuple((int(i == s), 0) for i in range(r)) for s in range(r))
+    words = {identity: ""}
+    queue = [identity]
+    covers = []
+    for w in queue:
+        for s in range(r):
+            if not any(map(_phi_positive, w[s])):
+                continue
+            ws = tuple(
+                tuple(_phi_sub_mul(c, cartan[s][t], d) for c, d in zip(w[t], w[s]))
+                for t in range(r)
+            )
+            if ws not in words:
+                words[ws] = words[w] + str(s)
+                queue.append(ws)
+            covers.append((ws, w))
+    names = {w: word or "e" for w, word in words.items()}
+    return build_lattice(list(names.values()), [(names[u], names[l]) for u, l in covers])

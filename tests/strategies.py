@@ -127,6 +127,25 @@ def large_orders(draw) -> tuple[int, list[tuple[int, int]]]:
     return len(members), _hasse(_inclusion_below(members))
 
 
+@st.composite
+def with_implied_cover(draw, orders) -> tuple[int, list[tuple[int, int]]]:
+    """An order drawn from orders, with one implied pair added to its covers.
+
+    The pair (upper, lower) is drawn from the comparable pairs that are
+    not covers, so some element lies strictly between its ends; an order
+    without such a pair comes back unchanged.
+    """
+    n, covers = draw(orders)
+    below = [0] * n  # strict lower sets; ids are a linear extension
+    for upper, lower in sorted(covers):
+        below[upper] |= below[lower] | (1 << lower)
+    given = set(covers)
+    implied = [(x, y) for x in range(n) for y in _bits(below[x]) if (x, y) not in given]
+    if implied:
+        covers = [*covers, draw(st.sampled_from(implied))]
+    return n, covers
+
+
 def build(n: int, covers: list[tuple[int, int]]) -> Lattice:
     """build_lattice on elements named "0".."n-1" in id order."""
     names = [str(i) for i in range(n)]

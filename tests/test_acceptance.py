@@ -11,7 +11,12 @@ from itertools import combinations
 
 import pytest
 
-from helpers import brute_first_missing_meet, brute_semidistributive, cambrian_sym
+from helpers import (
+    brute_first_missing_meet,
+    brute_semidistributive,
+    cambrian_sym,
+    weak_order,
+)
 from kappalat import (
     bits_of,
     cjr,
@@ -381,3 +386,42 @@ def test_criterion_12_cambrian_lattices():
                     assert _is_lattice(lat.n, clo.hasse)
     _report(12, "on all 28 type-A Cambrian lattices, clo is the noncrossing partition lattice",
             time.perf_counter() - t0, 5.0)
+
+
+def _coxeter_matrix(rank, edges):
+    """m[s][t] = 2 but for the (s, t, m) diagram edges, 1 on the diagonal."""
+    m = [[1 if s == t else 2 for t in range(rank)] for s in range(rank)]
+    for s, t, order in edges:
+        m[s][t] = m[t][s] = order
+    return m
+
+
+def test_criterion_13_coxeter_weak_orders():
+    # Criterion 11 on the weak orders of the finite Coxeter types of rank 3
+    # and 4 outside type A: clo is the shard intersection order, graded by
+    # descents with W-Eulerian rank sizes (Reading, arXiv:0909.3288).
+    t0 = time.perf_counter()
+    types = [
+        ("B3", 48, _coxeter_matrix(3, [(0, 1, 4), (1, 2, 3)]), [1, 23, 23, 1]),
+        ("H3", 120, _coxeter_matrix(3, [(0, 1, 5), (1, 2, 3)]), [1, 59, 59, 1]),
+        ("D4", 192, _coxeter_matrix(4, [(0, 1, 3), (1, 2, 3), (1, 3, 3)]), [1, 44, 102, 44, 1]),
+        ("B4", 384, _coxeter_matrix(4, [(0, 1, 4), (1, 2, 3), (2, 3, 3)]), [1, 76, 230, 76, 1]),
+        ("F4", 1152, _coxeter_matrix(4, [(0, 1, 3), (1, 2, 4), (2, 3, 3)]),
+         [1, 236, 678, 236, 1]),
+    ]
+    for name, order, matrix, rank_sizes in types:
+        lat = weak_order(matrix)
+        assert lat.n == order, name
+        assert semidistributive_witness(lat) is None, name
+        lab = full_labeling(lat)
+        image, wide = _core_map(lat, lab)
+        assert image is not None, name
+        clo = order_poset(lat, lab, "clo")
+        assert {(image[u], image[l]) for u, l in clo.hasse} == set(wide.hasse)
+        assert clo.up == order_poset(lat, lab, "kappa").up
+        assert compare_orders(lat, lab) == (None, ())
+        descents = [len(lat.cover_downs[x]) for x in range(lat.n)]
+        assert all(descents[u] == descents[l] + 1 for u, l in clo.hasse)
+        assert sorted(Counter(descents).items()) == list(enumerate(rank_sizes))
+    _report(13, "on the weak orders of B3, H3, D4, B4 and F4, clo is graded by descents "
+            "and isomorphic to the wide poset", time.perf_counter() - t0, 5.0)

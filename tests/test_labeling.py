@@ -1,10 +1,6 @@
 """Semidistributivity testing, arrow labels, and the kappa bijection."""
 
-import os
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 
 import pytest
 
@@ -16,6 +12,7 @@ from helpers import (
     first_sd_witness,
     labeled_corpus,
     per_cover_labels,
+    run_optimized,
     small_corpus,
     small_labeled_corpus,
 )
@@ -369,12 +366,6 @@ def test_invariant_checks_survive_python_O():
             print("InternalInvariant:", exc)
         """
     )
-    src = str(Path(kappalat.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=False
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (
+    assert run_optimized(script) == (
         "InternalInvariant: kappa and kappa_dual are not inverse bijections jirr <-> mirr\n"
     )

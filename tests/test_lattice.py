@@ -1,6 +1,7 @@
 """Lattice construction, validation errors, and order queries."""
 
 import random
+import textwrap
 from functools import reduce
 from operator import or_
 
@@ -14,6 +15,7 @@ from helpers import (
     brute_meet,
     corpus,
     first_input_defect,
+    run_optimized,
     small_labeled_corpus,
 )
 from kappalat import Lattice, bits_of, build_lattice, gen_a2, gen_boolean, gen_fig1
@@ -150,12 +152,11 @@ class TestBuild:
 
     def test_row_search_that_finds_no_pair_reports_a_broken_invariant(self):
         # every meet of fig1 exists, so the pair search, which runs only
-        # after the meet certificate failed, must not hand back None
+        # after the lower-cover test failed, must not hand back None
         lat = gen_fig1()
-        rows = [(x, lat.down[x]) for x, cd in enumerate(lat.cover_downs) if len(cd) > 1]
-        message = "^the meet certificate failed but no row lacks a meet$"
+        message = "^the lower-cover test failed but no row lacks a meet$"
         with pytest.raises(InternalInvariant, match=message):
-            _backend._first_failing_pair(lat.down, rows)
+            _backend.first_failing_pair(lat.down, lat.cover_downs)
 
     def test_item_scan_that_finds_no_defect_reports_a_broken_invariant(self):
         # the scan runs only after a bulk input test failed, so a clean
@@ -247,6 +248,33 @@ class TestBuild:
         )
         assert again.names == lat.names
         assert again.covers == lat.covers
+
+    def test_order_checks_survive_python_O(self):
+        # a non-lattice whose missing meet only a pair of later lower
+        # covers shows, an implied cover and a bowtie
+        script = textwrap.dedent(
+            """
+            from kappalat import build_lattice
+            from kappalat.errors import LatticeError
+
+            assert False, "asserts run, so -O is not in effect"
+            cases = [
+                ("0123456", ["10", "20", "30", "42", "43", "52", "53", "61", "64", "65"]),
+                ("0ab1", ["a0", "b0", "ba", "1b"]),
+                ("0abcd1", ["a0", "b0", "ca", "cb", "da", "db", "1c", "1d"]),
+            ]
+            for names, covers in cases:
+                try:
+                    build_lattice(list(names), [tuple(pair) for pair in covers])
+                except LatticeError as exc:
+                    print(f"{type(exc).__name__}: {exc}")
+            """
+        )
+        assert run_optimized(script) == (
+            "NotALattice: elements '4' and '5' have no greatest lower bound\n"
+            "RedundantCover: cover 'b' > '0' is implied via 'a'\n"
+            "NotALattice: elements 'c' and 'd' have no greatest lower bound\n"
+        )
 
 
 @settings(deadline=None)

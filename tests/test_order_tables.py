@@ -7,13 +7,9 @@ which compute one element or one interval from the definitions, on the
 labeled corpus and on random semidistributive lattices.
 """
 
-import os
 import random
-import subprocess
-import sys
 import textwrap
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,6 +18,7 @@ import kappalat
 from helpers import (
     jirr_sufficiency_failures,
     labeled_corpus,
+    run_optimized,
     small_labeled_corpus,
 )
 from kappalat import (
@@ -377,17 +374,6 @@ def test_table_builders_call_no_single_element_path(monkeypatch):
         _core_labels(lat, lab)
 
 
-def _run_optimized(script):
-    """stdout of script run under python -O, with this checkout's kappalat."""
-    src = str(Path(kappalat.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=False
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 def test_extended_kappa_table_checks_survive_python_O():
     # fig1's last arrow 0* -> 3* carries label 3, and 3* is the extended
     # kappa image of 3; relabeling that arrow with the bottom changes the
@@ -408,7 +394,7 @@ def test_extended_kappa_table_checks_survive_python_O():
             print("InternalInvariant:", exc)
         """
     )
-    assert _run_optimized(script) == (
+    assert run_optimized(script) == (
         "InternalInvariant: up-arrow labels of extended_kappa('3') differ from its joinands\n"
     )
 
@@ -429,6 +415,6 @@ def test_core_label_check_survives_python_O():
             print("InternalInvariant:", exc)
         """
     )
-    assert _run_optimized(script) == (
+    assert run_optimized(script) == (
         "InternalInvariant: '1' is not the join of its core label set\n"
     )

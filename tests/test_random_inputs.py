@@ -19,6 +19,7 @@ from helpers import (
     brute_covers,
     brute_family,
     brute_first_missing_meet,
+    brute_order_defect,
     brute_sd_violations,
     brute_semidistributive,
     first_sd_witness,
@@ -44,9 +45,9 @@ from kappalat import (
     x_down,
 )
 from kappalat.cli import cli_main
-from kappalat.errors import NotALattice, NotSemidistributive
+from kappalat.errors import LatticeError, NotALattice, NotSemidistributive
 from kappalat.intervals import interval_tops
-from strategies import bounded_posets, build, large_orders, lattices
+from strategies import bounded_posets, build, large_orders, lattices, with_implied_cover
 
 
 @settings(max_examples=300, deadline=None)
@@ -63,25 +64,49 @@ def test_lattice_test_and_witness_pair(order):
             build(n, covers)
 
 
+ORDERS = st.one_of(lattices(), bounded_posets())
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(lattices(), bounded_posets()))
-def test_each_lattice_certificate_alone_decides(order):
-    # first_missing_meet runs the side with fewer pairs; each side alone
-    # must decide the lattice test, and the pair search after it must
-    # find the first pair lacking a meet
+@given(st.one_of(ORDERS, with_implied_cover(ORDERS)))
+def test_lower_cover_pass_decides_implied_covers_and_lattices(order):
+    # the one pass over pairs of lower covers passes iff the order is a
+    # lattice with no implied cover; when it fails, build_lattice still
+    # raises the first defect in the order implied cover, bounds, meet
     n, covers = order
-    missing = brute_first_missing_meet(n, covers)
-    up, down = order_masks(n, covers)
-    lowers = [sum(1 for u, _ in covers if u == x) for x in range(n)]
-    uppers = [sum(1 for _, l in covers if l == x) for x in range(n)]
-    rows = [x for x in range(n) if lowers[x] > 1]
-    mirr = [m for m in range(n) if uppers[m] == 1]
-    by_meets = _backend._all_principal(down, rows, mirr, False)
-    corows = [x for x in range(n) if uppers[x] > 1]
-    by_joins = _backend._all_principal(up, corows, [j for j in range(n) if lowers[j] == 1], True)
-    assert by_meets == by_joins == (missing is None)
-    if missing is not None:
-        assert _backend._first_failing_pair(down, [(x, down[x]) for x in rows]) == missing
+    defect = brute_order_defect(n, covers)
+    _, down = order_masks(n, covers)
+    cover_downs = [sorted(l for u, l in covers if u == x) for x in range(n)]
+    assert (_backend.first_missing_meet(down, cover_downs) is None) == (defect is None)
+    if defect is None:
+        assert build(n, covers).n == n
+    else:
+        error, message = defect
+        with pytest.raises(LatticeError) as info:
+            build(n, covers)
+        assert (type(info.value), str(info.value)) == (error, message)
+
+
+# the first order passes a lower-cover test that checks only the pairs
+# with the first lower cover, the second one that checks only consecutive
+# pairs: in each, only a pair such a test skips shows the missing meet
+@pytest.mark.parametrize(
+    "covers, message",
+    [
+        (
+            [(1, 0), (2, 0), (3, 0), (4, 2), (4, 3), (5, 2), (5, 3), (6, 1), (6, 4), (6, 5)],
+            "elements '4' and '5' have no greatest lower bound",
+        ),
+        (
+            [(1, 0), (2, 0), (3, 1), (3, 2), (4, 1), (5, 1), (5, 2), (6, 3), (6, 4), (6, 5)],
+            "elements '3' and '5' have no greatest lower bound",
+        ),
+    ],
+    ids=["first-cover-pairs", "consecutive-pairs"],
+)
+def test_every_pair_of_lower_covers_is_tested(covers, message):
+    with pytest.raises(NotALattice, match=f"^{message}$"):
+        build(7, covers)
 
 
 @settings(max_examples=150, deadline=None)
