@@ -138,25 +138,37 @@ class ArrowLabeling(NamedTuple):
 
 
 def full_labeling(lattice: Lattice) -> ArrowLabeling:
-    """Label every Hasse arrow and tabulate kappa, verifying the identities.
+    """Label every Hasse arrow and tabulate kappa and its inverse kappa_dual.
 
     The lattice is semidistributive iff every arrow has both labels, so
     a missing label (arrow_labels gives None) is what sends it to
     semidistributive_witness for the violating triple named in
     NotSemidistributive.
 
-    Checks, before returning: kappa and kappa_dual are mutually inverse
-    bijections jirr <-> mirr, and mu agrees with kappa o gamma on every
-    arrow.  The bijection test is one comparison, kappa_dual == inverted
-    kappa with tables of equal size: inverting then loses no key, so kappa
-    is injective, maps jirr onto mirr and has kappa_dual as its inverse.
+    Once every arrow has both labels, each cover (u, l) has gamma(u, l) =
+    min {x | l v x = u} and mu(u, l) = max {x | u ^ x = l}, and the
+    proofs of join_label and meet_label give gamma one lower cover
+    gamma_*, met by l, and mu one upper cover mu^*, joined by u.  So
+    these identities hold with no check:
 
-    The identities j ^ kappa(j) = star_down(j) and j v kappa(j) =
-    star_up(kappa(j)) need no check.  Each label from arrow_labels is a
-    member of its candidate set (its lowest or highest bit), so kappa(j) =
-    mu(j, j_*) is in {x | j ^ x = j_*}, and the bijection test gives j =
-    kappa_dual(kappa(j)) = gamma(kappa(j)^*, kappa(j)), which is in
-    {x | kappa(j) v x = kappa(j)^*}.
+    1. kappa(j) = mu(j, j_*) is meet-irreducible; dually, gamma(m^*, m)
+       is join-irreducible.
+    2. gamma(K^*, K) = j for K = kappa(j).  j <= K would make j ^ K = j,
+       so j is not below K.  K is the largest x with j ^ x = j_*, so
+       K^* > K has j ^ K^* != j_*, and j ^ K^*, in [j_*, j], is j: j <= K^*.
+       Hence K v j = K^*, and gamma(K^*, K) <= j.  A smaller one would lie
+       below j_* <= K and join K to K, not to K^*.
+    3. Dually, kappa(gamma(m^*, m)) = m.  So kappa is a bijection jirr ->
+       mirr whose inverse is m -> gamma(m^*, m), and kappa_dual is built
+       as kappa inverted, keyed by ascending m.
+    4. mu(u, l) = kappa(gamma(u, l)).  Let j = gamma(u, l), K = kappa(j)
+       and m = mu(u, l).  l ^ j = j_* puts l <= K, and u <= K would put
+       j <= K, so u ^ K, in [l, u), is l, and K <= m.  j <= m would give
+       u = l v j <= m, so j ^ m, in [l ^ j, j), is j_*, and m <= K.
+
+    With them, j ^ kappa(j) = j_* and j v kappa(j) = kappa(j)^*: kappa(j)
+    = mu(j, j_*) is in {x | j ^ x = j_*}, and by 2, j = gamma(K^*, K) is
+    in {x | K v x = K^*}.
     """
     up, down, covers = lattice.up, lattice.down, lattice.covers
     labels = _backend.arrow_labels(up, down, covers)
@@ -166,28 +178,15 @@ def full_labeling(lattice: Lattice) -> ArrowLabeling:
             raise InternalInvariant("an arrow lacks a label but no semidistributive law fails")
         raise NotSemidistributive(witness.describe(lattice))
     gamma_list, mu_list = labels
-    gamma = dict(zip(covers, gamma_list))
     mu = dict(zip(covers, mu_list))
-
-    cover_ups, cover_downs = lattice.cover_ups, lattice.cover_downs
+    cover_downs = lattice.cover_downs
     jirr = join_irreducibles(lattice)
-    mirr = meet_irreducibles(lattice)
     kappa_table = {j: mu[(j, cover_downs[j][0])] for j in bits_of(jirr)}
-    kappa_dual_table = {m: gamma[(cover_ups[m][0], m)] for m in bits_of(mirr)}
-
-    if not (
-        len(kappa_table) == len(kappa_dual_table)
-        and kappa_dual_table == {m: j for j, m in kappa_table.items()}
-    ):
-        raise InternalInvariant("kappa and kappa_dual are not inverse bijections jirr <-> mirr")
-    if mu_list != list(map(kappa_table.get, gamma_list)):
-        raise InternalInvariant("mu differs from kappa o gamma on some arrow")
-
     return ArrowLabeling(
-        gamma=gamma,
+        gamma=dict(zip(covers, gamma_list)),
         mu=mu,
         kappa=kappa_table,
-        kappa_dual=kappa_dual_table,
+        kappa_dual=dict(sorted(zip(kappa_table.values(), kappa_table))),
         jirr=jirr,
-        mirr=mirr,
+        mirr=meet_irreducibles(lattice),
     )

@@ -211,7 +211,7 @@ def build_lattice(names: Sequence[str], covers: Iterable[tuple[str, str]]) -> La
         _raise_first_defect(names, index, covers)
 
     if not all(starmap(gt, cover_pairs)):
-        order = _topological_order(n, cover_pairs)
+        order = _topological_order(names, cover_pairs)
         # reindex so ids form a linear extension from the bottom
         old_to_new = [0] * n
         for new, old in enumerate(order):
@@ -315,8 +315,16 @@ def _raise_first_defect(
     raise InternalInvariant("a bulk input test failed but the scan finds no defect")
 
 
-def _topological_order(n: int, cover_pairs: list[tuple[int, int]]) -> list[int]:
-    """Kahn sort from the bottom; ties broken by input position."""
+def _topological_order(names: list[str], cover_pairs: list[tuple[int, int]]) -> list[int]:
+    """Kahn sort from the bottom; ties broken by input position.
+
+    If the covers hold a cycle, CyclicCovers names one.  Every unplaced
+    element has an unplaced lower cover (its pending count is positive),
+    so the walk from the unplaced element of least input position down
+    through first unplaced lower covers repeats an element, and the
+    stretch between the two visits is a cycle.
+    """
+    n = len(names)
     pending = [0] * n  # number of lower covers not yet placed
     ups: list[list[int]] = [[] for _ in range(n)]
     for u, l in cover_pairs:
@@ -333,5 +341,14 @@ def _topological_order(n: int, cover_pairs: list[tuple[int, int]]) -> list[int]:
             if pending[u] == 0:
                 heapq.heappush(ready, u)
     if len(order) != n:
-        raise CyclicCovers(f"cover digraph has a cycle through {n - len(order)} elements")
+        lowers: list[list[int]] = [[] for _ in range(n)]
+        for u, l in cover_pairs:
+            lowers[u].append(l)
+        x = next(x for x in range(n) if pending[x])
+        step: dict[int, int] = {}  # position of each element on the walk
+        while x not in step:
+            step[x] = len(step)
+            x = next(l for l in lowers[x] if pending[l])
+        cycle = list(step)[step[x]:] + [x]
+        raise CyclicCovers("covers form a cycle: " + " > ".join(repr(names[x]) for x in cycle))
     return order

@@ -19,6 +19,7 @@ from helpers import (
 )
 from kappalat import (
     bits_of,
+    build_lattice,
     cjr,
     clo_leq,
     compare_orders,
@@ -266,6 +267,12 @@ def _is_lattice(n, hasse):
     return brute_first_missing_meet(n, hasse) is None and brute_first_missing_meet(n, dual) is None
 
 
+def _build_order(n, hasse):
+    """build_lattice on the order of 0..n-1 with these (upper, lower) Hasse
+    pairs: the fast lattice test, which raises unless the order is one."""
+    return build_lattice([str(x) for x in range(n)], [(str(u), str(l)) for u, l in hasse])
+
+
 def test_criterion_11_isomorphism_theorem():
     # The wide label sets, the kappa order and the core label order are
     # isomorphic posets, with x -> core(x) carrying clo onto the wide poset;
@@ -298,7 +305,10 @@ def test_criterion_11_isomorphism_theorem():
     image, wide = _core_map(lat, lab)
     assert image is None
     assert {core_label(lat, lab, x) for x in range(lat.n)} < set(wide.members)
-    assert not _is_lattice(lat.n, order_poset(lat, lab, "clo").hasse)
+    clo = order_poset(lat, lab, "clo")
+    assert not _is_lattice(lat.n, clo.hasse)
+    with pytest.raises(NotALattice):
+        _build_order(lat.n, clo.hasse)
     _report(11, "wide poset, kappa order and clo are isomorphic; clo is the shard intersection lattice",
             time.perf_counter() - t0, 5.0)
 
@@ -382,6 +392,7 @@ def test_criterion_12_cambrian_lattices():
                 assert set(parts) == _noncrossing(n, circle)
                 for x in range(lat.n):
                     assert clo.up[x] == sum(1 << y for y in range(lat.n) if parts[x] <= parts[y])
+                assert _build_order(lat.n, clo.hasse).n == lat.n
                 if n <= 5:
                     assert _is_lattice(lat.n, clo.hasse)
     _report(12, "on all 28 type-A Cambrian lattices, clo is the noncrossing partition lattice",
@@ -420,8 +431,9 @@ def test_criterion_13_coxeter_weak_orders():
         assert {(image[u], image[l]) for u, l in clo.hasse} == set(wide.hasse)
         assert clo.up == order_poset(lat, lab, "kappa").up
         assert compare_orders(lat, lab) == (None, ())
+        assert _build_order(lat.n, clo.hasse).n == lat.n, name
         descents = [len(lat.cover_downs[x]) for x in range(lat.n)]
         assert all(descents[u] == descents[l] + 1 for u, l in clo.hasse)
         assert sorted(Counter(descents).items()) == list(enumerate(rank_sizes))
-    _report(13, "on the weak orders of B3, H3, D4, B4 and F4, clo is graded by descents "
-            "and isomorphic to the wide poset", time.perf_counter() - t0, 5.0)
+    _report(13, "on the weak orders of B3, H3, D4, B4 and F4, clo is a lattice graded by "
+            "descents and isomorphic to the wide poset", time.perf_counter() - t0, 5.0)

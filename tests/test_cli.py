@@ -95,11 +95,8 @@ class TestLabels:
         assert out.startswith("digraph") and out.count("label=") == 18
 
     def test_console_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "kappalat", "gen", "--family", "a2"],
-            capture_output=True,
-            text=True,
-        )
+        argv, env = _module_command("gen", "--family", "a2")
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert parse_lattice(proc.stdout).n == 5
 

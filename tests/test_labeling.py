@@ -307,24 +307,6 @@ class TestKappa:
             for arrow in lat.covers:
                 assert lab.mu[arrow] == lab.kappa[lab.gamma[arrow]]
 
-    def test_full_labeling_reports_mu_off_kappa_o_gamma(self, monkeypatch):
-        # neither kappa table reads the arrows leaving fig1's top, which has
-        # three lower covers, so one meet label moved there breaks only
-        # mu = kappa o gamma
-        lat = gen_fig1()
-        first, second = ((lat.top, lower) for lower in lat.cover_downs[lat.top][:2])
-        exact = _backend.arrow_labels
-
-        def one_meet_label_moved(up, down, covers):
-            gamma, mu = exact(up, down, covers)
-            mu[covers.index(first)] = mu[covers.index(second)]
-            return gamma, mu
-
-        monkeypatch.setattr(_backend, "arrow_labels", one_meet_label_moved)
-        message = "^mu differs from kappa o gamma on some arrow$"
-        with pytest.raises(InternalInvariant, match=message):
-            full_labeling(lat)
-
     def test_join_meet_identities(self):
         for _, lat, lab in labeled_corpus():
             for j, m in lab.kappa.items():
@@ -344,28 +326,22 @@ class TestKappa:
 
 
 def test_invariant_checks_survive_python_O():
-    # a meet label that returns the lower end of every cover breaks the
-    # kappa bijection; python -O drops asserts but not this check
+    # a labeling whose kappa_dual sends a meet-irreducible to the bottom
+    # reaches the label tables' check; python -O drops asserts but not it
     script = textwrap.dedent(
         """
-        import kappalat._backend as backend
-        from kappalat import full_labeling, gen_fig1
+        from kappalat import derived_poset, full_labeling, gen_fig1
         from kappalat.errors import InternalInvariant
 
         assert False, "asserts run, so -O is not in effect"
-        exact = backend.arrow_labels
-
-        def lower_as_meet_label(up, down, covers):
-            gamma, _ = exact(up, down, covers)
-            return gamma, [lower for _, lower in covers]
-
-        backend.arrow_labels = lower_as_meet_label
+        lat = gen_fig1()
+        lab = full_labeling(lat)
+        m = next(iter(lab.kappa_dual))
+        bad = lab._replace(kappa_dual={**lab.kappa_dual, m: lat.bottom})
         try:
-            full_labeling(gen_fig1())
+            derived_poset(lat, bad, "wide")
         except InternalInvariant as exc:
             print("InternalInvariant:", exc)
         """
     )
-    assert run_optimized(script) == (
-        "InternalInvariant: kappa and kappa_dual are not inverse bijections jirr <-> mirr\n"
-    )
+    assert run_optimized(script) == "InternalInvariant: kappa_dual('4*') is not join-irreducible\n"

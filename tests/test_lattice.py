@@ -87,8 +87,25 @@ class TestBuild:
             build_lattice(["a", "b"], [("b", "a"), ("b", "b")])
 
     def test_cycle(self):
-        with pytest.raises(CyclicCovers):
-            build_lattice(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+        # every element on or above a cycle stays unplaced (a, b, c, d and 1
+        # in the second case); the walk starts at the one of least input
+        # position, which lies above the cycle in the third case (x)
+        cases = [
+            (["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")], "'a' > 'b' > 'c' > 'a'"),
+            (
+                ["0", "a", "b", "c", "d", "1"],
+                [("a", "0"), ("b", "a"), ("a", "b"), ("c", "b"), ("d", "c"), ("1", "d")],
+                "'a' > 'b' > 'a'",
+            ),
+            (
+                ["x", "0", "a", "b", "1"],
+                [("x", "a"), ("a", "0"), ("b", "a"), ("a", "b"), ("1", "x")],
+                "'a' > 'b' > 'a'",
+            ),
+        ]
+        for names, covers, cycle in cases:
+            with pytest.raises(CyclicCovers, match=f"^covers form a cycle: {cycle}$"):
+                build_lattice(names, covers)
 
     def test_redundant_cover(self):
         with pytest.raises(RedundantCover):
@@ -291,8 +308,8 @@ def test_kahn_order_of_a_linear_extension_is_the_identity(order, rng):
         position[rng.choice(ready)] = len(position)
     pairs = [(position[u], position[l]) for u, l in covers]
     rng.shuffle(pairs)
-    assert _topological_order(n, pairs) == list(range(n))
     names = [str(x) for x in sorted(position, key=position.get)]
+    assert _topological_order(names, pairs) == list(range(n))
     lat = build_lattice(names, [(str(u), str(l)) for u, l in covers])
     assert lat.names == tuple(names)
     assert lat.covers == tuple(sorted((position[u], position[l]) for u, l in covers))

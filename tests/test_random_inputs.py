@@ -235,6 +235,18 @@ def test_arrow_labels(order):
         for j, m in lab.kappa.items():
             assert lat.join((j, m)) == lat.star_up(m)
             assert lat.meet((j, m)) == lat.star_down(j)
+        # and of its claims 2 to 4: kappa_dual(m) = gamma(m^*, m) is kappa
+        # inverted, keyed by ascending m, and mu = kappa o gamma
+        uppers = {}
+        for upper, lower in expected:
+            uppers.setdefault(lower, []).append(upper)
+        assert lab.kappa_dual == {
+            m: expected[(ups[0], m)][0] for m, ups in uppers.items() if len(ups) == 1
+        }
+        assert lab.kappa_dual == {m: j for j, m in lab.kappa.items()}
+        assert list(lab.kappa_dual) == sorted(lab.kappa_dual)
+        for j, m in expected.values():
+            assert m == lab.kappa[j]
     else:
         with pytest.raises(NotSemidistributive) as info:
             full_labeling(lat)
