@@ -1,8 +1,8 @@
 """Finite bounded lattices presented by their Hasse quiver.
 
 A lattice is built once from (names, cover pairs), validated, and then
-queried through pure methods; Lattice is an immutable slotted class
-compared by value.  Elements are addressed by dense ids assigned in a
+queried through pure methods; Lattice is a named tuple like the result
+records.  Elements are addressed by dense ids assigned in a
 deterministic linear extension from the bottom; element sets are int
 bitmasks over those ids (see kappalat._bits).
 """
@@ -13,8 +13,8 @@ import heapq
 from collections.abc import Iterable, Sequence
 from functools import reduce
 from itertools import starmap
-from operator import and_, attrgetter, eq, gt
-from typing import NoReturn
+from operator import and_, eq, gt
+from typing import NamedTuple, NoReturn
 
 from . import _backend
 from ._bits import bits_of, highest_bit, lowest_bit
@@ -35,11 +35,8 @@ MAX_ELEMENTS = 5000
 
 Interval = tuple[int, int]
 
-# the fields Lattice equality and hashing read
-_compared = attrgetter("names", "up", "down", "covers")
 
-
-class Lattice:
+class Lattice(NamedTuple):
     """Validated finite bounded lattice; immutable after construction.
 
     up[x] / down[x] are bitmasks of {y | x <= y} / {y | y <= x}, both
@@ -49,39 +46,19 @@ class Lattice:
     order.  Ids form a linear extension: x < y in the lattice implies
     id(x) < id(y).
 
-    A slotted class whose fields refuse assignment and deletion.  Two
-    lattices are equal, with equal hashes, when their names, up, down
-    and covers are; the other fields are derived from those.
+    A named tuple like the result records: it unpacks into its six
+    fields, supports _replace, and compares and hashes as the plain
+    tuple of its fields.  cover_ups and cover_downs follow from covers,
+    so two lattices that build_lattice returns are equal exactly when
+    their names, up, down and covers are.
     """
 
-    __slots__ = ("names", "up", "down", "covers", "_index", "cover_ups", "cover_downs")
-
-    # parameters unannotated: their annotations add ~130 kB to the peak
-    # memory of compiling this module, the peak of an import from source
-    def __init__(self, names, up, down, covers, _index, cover_ups, cover_downs) -> None:
-        fields = (names, up, down, covers, _index, cover_ups, cover_downs)
-        for name, value in zip(Lattice.__slots__, fields):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> NoReturn:
-        raise AttributeError(
-            f"cannot assign {type(value).__name__} to {name!r}: Lattice is immutable"
-        )
-
-    def __delattr__(self, name: str) -> NoReturn:
-        raise AttributeError(f"cannot delete {name!r}: Lattice is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not Lattice:
-            return NotImplemented
-        return _compared(self) == _compared(other)
-
-    def __hash__(self) -> int:
-        return hash(_compared(self))
-
-    def __reduce__(self) -> tuple[type[Lattice], tuple[object, ...]]:
-        """Pickle and copy through __init__, since __setattr__ refuses."""
-        return Lattice, tuple(map(self.__getattribute__, Lattice.__slots__))
+    names: tuple
+    up: tuple
+    down: tuple
+    covers: tuple
+    cover_ups: tuple
+    cover_downs: tuple
 
     @property
     def n(self) -> int:
@@ -99,8 +76,8 @@ class Lattice:
 
     def id_of(self, name: str) -> int:
         try:
-            return self._index[name]
-        except KeyError:
+            return self.names.index(name)
+        except ValueError:
             raise UnknownElement(f"no element named {name!r}") from None
 
     def leq(self, a: int, b: int) -> bool:
@@ -217,7 +194,6 @@ def build_lattice(names: Sequence[str], covers: Iterable[tuple[str, str]]) -> La
         for new, old in enumerate(order):
             old_to_new[old] = new
         names = [names[old] for old in order]
-        index = dict(zip(names, range(n)))
         cover_pairs = [(old_to_new[u], old_to_new[l]) for u, l in cover_pairs]
 
     # in (upper, lower) order each u meets its lowers and each l its
@@ -261,7 +237,6 @@ def build_lattice(names: Sequence[str], covers: Iterable[tuple[str, str]]) -> La
         up=tuple(up),
         down=tuple(down),
         covers=tuple(cover_pairs),
-        _index=index,
         cover_ups=tuple(map(tuple, cover_ups)),
         cover_downs=tuple(map(tuple, cover_downs)),
     )

@@ -377,6 +377,25 @@ def first_input_defect(names, covers) -> tuple[type, str] | None:
     return None
 
 
+def induced_lattice(weak: Lattice, ids) -> Lattice:
+    """The order of weak restricted to ids (ascending), through build_lattice.
+
+    The lowest bit of what remains of a kept element's strict up-set
+    within the kept set is a cover; clearing that cover's up-set and
+    repeating gives all its covers.  build_lattice raises unless the
+    induced order is a lattice.
+    """
+    keep = sum(1 << x for x in ids)
+    covers = []
+    for x in ids:
+        rest = weak.up[x] & keep & ~(1 << x)
+        while rest:
+            y = (rest & -rest).bit_length() - 1
+            covers.append((weak.names[y], weak.names[x]))
+            rest &= ~weak.up[y]
+    return build_lattice([weak.names[x] for x in ids], covers)
+
+
 def cambrian_sym(n: int, upper_barred) -> Lattice:
     """The type-A Cambrian lattice of one orientation: c-sortable permutations.
 
@@ -385,9 +404,7 @@ def cambrian_sym(n: int, upper_barred) -> Lattice:
     entries c, a with a < b < c where b comes after them (b lower-barred)
     or before them (b upper-barred).  The kept permutations form a
     sublattice of the weak order gen_weak_sym(n), so its order restricted
-    to them is the Cambrian order.  The lowest bit of what remains of a
-    kept element's strict up-set within the kept set is a cover;
-    clearing that cover's up-set and repeating gives all its covers.
+    to them is the Cambrian order.
     """
     weak = gen_weak_sym(n)
 
@@ -399,16 +416,36 @@ def cambrian_sym(n: int, upper_barred) -> Lattice:
                     return False
         return True
 
-    ids = [x for x in range(weak.n) if kept(weak.names[x])]
-    keep = sum(1 << x for x in ids)
-    covers = []
-    for x in ids:
-        rest = weak.up[x] & keep & ~(1 << x)
-        while rest:
-            y = (rest & -rest).bit_length() - 1
-            covers.append((weak.names[y], weak.names[x]))
-            rest &= ~weak.up[y]
-    return build_lattice([weak.names[x] for x in ids], covers)
+    return induced_lattice(weak, [x for x in range(weak.n) if kept(weak.names[x])])
+
+
+def c_sortable(weak: Lattice, ascents, c) -> list[int]:
+    """Ids of the c-sortable elements of a weak order, in ascending order.
+
+    weak and ascents are what weak_order returns; c is a Coxeter element
+    as a sequence of generators.  The c-sorting word of w is the lex-first
+    subword of c^infinity (by positions) that is a reduced word for w.
+    It is found greedily from the identity: each pass through c appends,
+    in c's order, every letter s whose product p s covers the prefix p so
+    far and lies below w, until p is w.  w is c-sortable when the sets of
+    letters of successive passes (its blocks) are nested.
+    """
+    sortable = []
+    for w in range(weak.n):
+        p, before = 0, set(c)
+        while p != w:
+            block = set()
+            for s in c:
+                q = ascents[p].get(s)
+                if q is not None and weak.leq(q, w):
+                    p = q
+                    block.add(s)
+            if not block <= before:
+                break
+            before = block
+        else:
+            sortable.append(w)
+    return sortable
 
 
 def per_cover_labels(lattice: Lattice) -> tuple[list[int], list[int]]:
@@ -449,7 +486,7 @@ def _phi_positive(x: tuple[int, int]) -> bool:
     return (p > 0) == (p * p > 5 * q * q)
 
 
-def weak_order(coxeter_matrix) -> Lattice:
+def weak_order(coxeter_matrix) -> tuple[Lattice, list[dict[int, int]]]:
     """The right weak order of a finite Coxeter group, by breadth-first search.
 
     coxeter_matrix[s][t] is the order m of st, 2 to 5.  An element w is
@@ -461,7 +498,9 @@ def weak_order(coxeter_matrix) -> Lattice:
     w(alpha_s) is positive (a root's coefficients share one sign), and
     ws(alpha_t) = w(alpha_t) - A[s][t] w(alpha_s).  Elements are named
     by their first-found reduced word ("e" for the identity) and listed
-    in breadth-first order, a linear extension.
+    in breadth-first order, a linear extension.  Returns the lattice and
+    its ascents: ascents[x] maps each s with x s covering x to the id of
+    x s.
     """
     r = len(coxeter_matrix)
     entries = {2: ((0, 0), (0, 0)), 3: ((-1, 0), (-1, 0)), 4: ((-1, 0), (-2, 0)),
@@ -485,6 +524,11 @@ def weak_order(coxeter_matrix) -> Lattice:
             if ws not in words:
                 words[ws] = words[w] + str(s)
                 queue.append(ws)
-            covers.append((ws, w))
+            covers.append((ws, w, s))
     names = {w: word or "e" for w, word in words.items()}
-    return build_lattice(list(names.values()), [(names[u], names[l]) for u, l in covers])
+    lattice = build_lattice(list(names.values()), [(names[u], names[l]) for u, l, _ in covers])
+    ids = {name: x for x, name in enumerate(lattice.names)}
+    ascents: list[dict[int, int]] = [{} for _ in range(lattice.n)]
+    for u, l, s in covers:
+        ascents[ids[names[l]]][s] = ids[names[u]]
+    return lattice, ascents

@@ -7,14 +7,16 @@ import json
 import random
 import time
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
 from helpers import (
     brute_first_missing_meet,
     brute_semidistributive,
+    c_sortable,
     cambrian_sym,
+    induced_lattice,
     weak_order,
 )
 from kappalat import (
@@ -407,21 +409,25 @@ def _coxeter_matrix(rank, edges):
     return m
 
 
+# (type, |W|, Coxeter diagram edges (s, t, m), W-Eulerian rank sizes,
+# W-Catalan number, W-Narayana rank sizes)
+COXETER_TYPES = [
+    ("B3", 48, 3, [(0, 1, 4), (1, 2, 3)], [1, 23, 23, 1], 20, [1, 9, 9, 1]),
+    ("H3", 120, 3, [(0, 1, 5), (1, 2, 3)], [1, 59, 59, 1], 32, [1, 15, 15, 1]),
+    ("D4", 192, 4, [(0, 1, 3), (1, 2, 3), (1, 3, 3)], [1, 44, 102, 44, 1], 50, [1, 12, 24, 12, 1]),
+    ("B4", 384, 4, [(0, 1, 4), (1, 2, 3), (2, 3, 3)], [1, 76, 230, 76, 1], 70, [1, 16, 36, 16, 1]),
+    ("F4", 1152, 4, [(0, 1, 3), (1, 2, 4), (2, 3, 3)], [1, 236, 678, 236, 1], 105,
+     [1, 24, 55, 24, 1]),
+]
+
+
 def test_criterion_13_coxeter_weak_orders():
     # Criterion 11 on the weak orders of the finite Coxeter types of rank 3
     # and 4 outside type A: clo is the shard intersection order, graded by
     # descents with W-Eulerian rank sizes (Reading, arXiv:0909.3288).
     t0 = time.perf_counter()
-    types = [
-        ("B3", 48, _coxeter_matrix(3, [(0, 1, 4), (1, 2, 3)]), [1, 23, 23, 1]),
-        ("H3", 120, _coxeter_matrix(3, [(0, 1, 5), (1, 2, 3)]), [1, 59, 59, 1]),
-        ("D4", 192, _coxeter_matrix(4, [(0, 1, 3), (1, 2, 3), (1, 3, 3)]), [1, 44, 102, 44, 1]),
-        ("B4", 384, _coxeter_matrix(4, [(0, 1, 4), (1, 2, 3), (2, 3, 3)]), [1, 76, 230, 76, 1]),
-        ("F4", 1152, _coxeter_matrix(4, [(0, 1, 3), (1, 2, 4), (2, 3, 3)]),
-         [1, 236, 678, 236, 1]),
-    ]
-    for name, order, matrix, rank_sizes in types:
-        lat = weak_order(matrix)
+    for name, order, rank, edges, rank_sizes, _, _ in COXETER_TYPES:
+        lat, _ = weak_order(_coxeter_matrix(rank, edges))
         assert lat.n == order, name
         assert semidistributive_witness(lat) is None, name
         lab = full_labeling(lat)
@@ -437,3 +443,47 @@ def test_criterion_13_coxeter_weak_orders():
         assert sorted(Counter(descents).items()) == list(enumerate(rank_sizes))
     _report(13, "on the weak orders of B3, H3, D4, B4 and F4, clo is a lattice graded by "
             "descents and isomorphic to the wide poset", time.perf_counter() - t0, 5.0)
+
+
+def _coxeter_elements(rank, edges):
+    """One Coxeter element per orientation of the diagram: s before t in c
+    for an edge oriented s -> t.  Orderings that orient every edge alike
+    differ only by commuting letters, so they give the same element."""
+    return list({
+        tuple(c.index(s) < c.index(t) for s, t, _ in edges): c for c in permutations(range(rank))
+    }.values())
+
+
+def test_criterion_14_coxeter_cambrian_lattices():
+    # Criterion 12 beyond type A: for every Coxeter element c of B3, H3,
+    # D4, B4 and F4, the c-sortable elements form the Cambrian lattice of
+    # c (Reading, arXiv:math/0507186), with W-Catalan many elements, and
+    # its core label order is the noncrossing partition lattice NC_c,
+    # graded by lower covers with W-Narayana rank sizes (Reading,
+    # arXiv:0909.3288).
+    t0 = time.perf_counter()
+    count = 0
+    for name, _, rank, edges, _, catalan, narayana in COXETER_TYPES:
+        weak, ascents = weak_order(_coxeter_matrix(rank, edges))
+        coxeter_elements = _coxeter_elements(rank, edges)
+        assert len(coxeter_elements) == 2 ** len(edges), name
+        for c in coxeter_elements:
+            lat = induced_lattice(weak, c_sortable(weak, ascents, c))
+            assert lat.n == catalan, (name, c)
+            assert semidistributive_witness(lat) is None, (name, c)
+            lab = full_labeling(lat)
+            image, wide = _core_map(lat, lab)
+            assert image is not None, (name, c)
+            clo = order_poset(lat, lab, "clo")
+            assert {(image[u], image[l]) for u, l in clo.hasse} == set(wide.hasse)
+            assert clo.up == order_poset(lat, lab, "kappa").up
+            assert compare_orders(lat, lab) == (None, ())
+            assert _build_order(lat.n, clo.hasse).n == lat.n, (name, c)
+            lowers = [len(cd) for cd in lat.cover_downs]
+            assert all(lowers[u] == lowers[l] + 1 for u, l in clo.hasse)
+            assert sorted(Counter(lowers).items()) == list(enumerate(narayana))
+            count += 1
+    assert count == 4 + 4 + 8 + 8 + 8
+    _report(14, "on the Cambrian lattices of all 32 Coxeter elements of B3, H3, D4, B4 and F4, "
+            "clo is a lattice graded by lower covers with W-Narayana ranks",
+            time.perf_counter() - t0, 5.0)

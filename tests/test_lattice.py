@@ -366,8 +366,12 @@ class TestQueries:
         assert fig.names[fig.star_up(fig.id_of("1*"))] == "0*"
 
     def test_unknown_element(self):
-        with pytest.raises(UnknownElement):
-            gen_a2().id_of("nope")
+        lat = gen_a2()
+        with pytest.raises(UnknownElement, match=r"^no element named 'nope'$"):
+            lat.id_of("nope")
+        # an unhashable name is unknown too, not a TypeError
+        with pytest.raises(UnknownElement, match=r"^no element named \['x'\]$"):
+            lat.id_of(["x"])
 
 
 def _assert_cover_lists(lat):

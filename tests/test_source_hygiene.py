@@ -20,6 +20,9 @@
 - Every ``raise InternalInvariant(...)`` has its message in a test: the
   longest literal part of the message occurs verbatim in some test file,
   so no identity check goes without a test that can make it fire.
+- No module defines ``__setattr__``, ``__delattr__``, ``__eq__``,
+  ``__hash__`` or ``__reduce__``: value types are ``NamedTuple``s and
+  take their value protocol from it.
 """
 
 import ast
@@ -126,6 +129,18 @@ def unexercised_invariants(sources: Iterable[str], tests: Iterable[str]) -> list
         for source in sources
         for message in invariant_messages(source)
         if not any(message in test for test in tests)
+    ]
+
+
+VALUE_PROTOCOL = {"__setattr__", "__delattr__", "__eq__", "__hash__", "__reduce__"}
+
+
+def value_protocol_defs(source: str) -> list[str]:
+    """Functions of the module named as a method of the value protocol."""
+    return [
+        f"{node.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in VALUE_PROTOCOL
     ]
 
 
@@ -238,6 +253,19 @@ def test_unexercised_invariant_is_reported():
     tests = ["with pytest.raises(InternalInvariant, match='a covered message'):"]
     assert invariant_messages(source) == [" broke a planted identity", "a covered message"]
     assert unexercised_invariants([source], tests) == [" broke a planted identity"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_hand_written_value_protocol(path):
+    assert value_protocol_defs(path.read_text(encoding="utf-8")) == []
+
+
+def test_hand_written_value_protocol_is_reported():
+    source = (
+        "class A:\n    def __eq__(self, other):\n        return True\n\n"
+        "    def __hash__(self):\n        return 0\n\n    def __repr__(self):\n        return 'A'\n"
+    )
+    assert value_protocol_defs(source) == ["__eq__ (line 2)", "__hash__ (line 5)"]
 
 
 def test_all_matches_the_re_exports():
