@@ -51,6 +51,8 @@ def records():
 
 RECORD_IDS = [name for name, _, _ in records()]
 
+LATTICE_FIELDS = ("names", "up", "down", "covers", "cover_ups", "cover_downs")
+
 
 class TestLatticeValue:
     @pytest.mark.parametrize(("name", "lat"), corpus(), ids=[name for name, _ in corpus()])
@@ -69,6 +71,27 @@ class TestLatticeValue:
         lat = gen_fig1()
         assert lat != (lat.names, lat.up, lat.down, lat.covers)
         assert lat != "fig1"
+
+    @pytest.mark.parametrize("field", LATTICE_FIELDS)
+    def test_fields_refuse_assignment_and_deletion(self, field):
+        lat = gen_fig1()
+        before = getattr(lat, field)
+        with pytest.raises(AttributeError):
+            setattr(lat, field, before)
+        with pytest.raises(AttributeError):
+            delattr(lat, field)
+        assert getattr(lat, field) is before
+
+    def test_no_new_attribute(self):
+        with pytest.raises(AttributeError):
+            gen_fig1().extra = 1
+
+    def test_pickle_and_copy_give_an_equal_lattice(self):
+        lat = gen_fig1()
+        for twin in (pickle.loads(pickle.dumps(lat)), copy.copy(lat), copy.deepcopy(lat)):
+            assert twin == lat
+            assert twin.id_of("4*") == lat.id_of("4*")
+            assert twin.cover_ups == lat.cover_ups
 
 
 class TestResultRecords:
