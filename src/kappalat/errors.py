@@ -22,7 +22,7 @@ class UnknownName(LatticeError):
 
 
 class UnknownElement(LatticeError):
-    """A query addressed an element name the lattice does not contain."""
+    """A query addressed an element name or id the lattice does not contain."""
     exit_code = 4
 
 

@@ -89,12 +89,12 @@ def jlabel_scan(lattice: Lattice, labeling: ArrowLabeling, iv: Interval) -> int:
 
 def down_jlabel(lattice: Lattice, labeling: ArrowLabeling, x: int) -> int:
     """Labels of the arrows starting at x (one per lower cover)."""
-    return mask_of(labeling.gamma[(x, y)] for y in lattice.cover_downs[x])
+    return mask_of(labeling.gamma[(x, y)] for y in lattice.cover_downs[lattice.check_element(x)])
 
 
 def up_jlabel(lattice: Lattice, labeling: ArrowLabeling, x: int) -> int:
     """Labels of the arrows ending at x (one per upper cover)."""
-    return mask_of(labeling.gamma[(u, x)] for u in lattice.cover_ups[x])
+    return mask_of(labeling.gamma[(u, x)] for u in lattice.cover_ups[lattice.check_element(x)])
 
 
 def is_wide_interval(lattice: Lattice, iv: Interval) -> bool:

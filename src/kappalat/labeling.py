@@ -58,7 +58,7 @@ def meet_irreducibles(lattice: Lattice) -> int:
 
 
 def _require_arrow(lattice: Lattice, arrow: tuple[int, int]) -> None:
-    upper, lower = arrow
+    upper, lower = map(lattice.check_element, arrow)
     if lower not in lattice.cover_downs[upper]:
         raise NotAnArrow(
             f"{lattice.names[upper]!r} does not cover {lattice.names[lower]!r}"
@@ -107,7 +107,7 @@ def meet_label(lattice: Lattice, arrow: tuple[int, int]) -> int:
 
 def kappa(lattice: Lattice, j: int) -> int:
     """max {x | j ^ x = star_down(j)} for a completely join-irreducible j."""
-    downs = lattice.cover_downs[j]
+    downs = lattice.cover_downs[lattice.check_element(j)]
     if len(downs) != 1:
         raise NotJoinIrreducible(f"{lattice.names[j]!r} is not completely join-irreducible")
     return meet_label(lattice, (j, downs[0]))
@@ -115,7 +115,7 @@ def kappa(lattice: Lattice, j: int) -> int:
 
 def kappa_dual(lattice: Lattice, m: int) -> int:
     """min {x | m v x = star_up(m)} for a completely meet-irreducible m."""
-    ups = lattice.cover_ups[m]
+    ups = lattice.cover_ups[lattice.check_element(m)]
     if len(ups) != 1:
         raise NotMeetIrreducible(f"{lattice.names[m]!r} is not completely meet-irreducible")
     return join_label(lattice, (ups[0], m))

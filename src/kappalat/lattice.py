@@ -116,6 +116,11 @@ class Lattice(NamedTuple):
     def interval_count(self) -> int:
         return sum(m.bit_count() for m in self.up)
 
+    def check_element(self, x: int) -> int:
+        if not 0 <= x < self.n:
+            raise UnknownElement(f"no element with id {x!r}")
+        return x
+
     def check_interval(self, iv: Interval) -> Interval:
         a, b = iv
         if not (0 <= a < self.n and 0 <= b < self.n and self.leq(a, b)):

@@ -90,6 +90,7 @@ def verify_cjr_oracle(lattice: Lattice, x: int, rep: int) -> bool:
     rep refines B, plus the antichain and join conditions.  Exponential;
     refuses lattices above 12 elements.
     """
+    lattice.check_element(x)
     n = lattice.n
     if n > 12:
         raise TooLarge(f"oracle enumerates 2^{n} subsets; capped at 12 elements")
@@ -181,7 +182,7 @@ def extended_kappa_table(lattice: Lattice, labeling: ArrowLabeling) -> tuple[int
 
 def x_down(lattice: Lattice, x: int) -> int:
     """x meeted with all its lower covers (the lower end of the core interval)."""
-    return lattice.meet((x, *lattice.cover_downs[x]))
+    return lattice.meet((x, *lattice.cover_downs[lattice.check_element(x)]))
 
 
 def core_label(lattice: Lattice, labeling: ArrowLabeling, x: int) -> int:
@@ -191,7 +192,7 @@ def core_label(lattice: Lattice, labeling: ArrowLabeling, x: int) -> int:
 
 def kappa_leq(lattice: Lattice, labeling: ArrowLabeling, x: int, y: int) -> bool:
     """x <= y and extended_kappa(x) >= extended_kappa(y)."""
-    if not lattice.leq(x, y):
+    if not lattice.leq(lattice.check_element(x), lattice.check_element(y)):
         return False
     return lattice.leq(
         extended_kappa(lattice, labeling, y), extended_kappa(lattice, labeling, x)

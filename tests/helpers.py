@@ -71,6 +71,14 @@ def small_labeled_corpus(limit: int = 40):
     return [(name, lat, lab) for name, lat, lab in labeled_corpus() if lat.n <= limit]
 
 
+def m3() -> Lattice:
+    """The diamond M3: three atoms a, b, c; neither join- nor meet-semidistributive."""
+    return build_lattice(
+        ["0", "a", "b", "c", "1"],
+        [("a", "0"), ("b", "0"), ("c", "0"), ("1", "a"), ("1", "b"), ("1", "c")],
+    )
+
+
 def canonical_key(mask: int) -> tuple[int, tuple[int, ...]]:
     """Sort key of the canonical member order: cardinality, then lex over ascending ids."""
     return mask.bit_count(), tuple(bits_of(mask))

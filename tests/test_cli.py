@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import kappalat
+from helpers import m3
 from kappalat import (
     cli,
     emit_lattice,
@@ -47,11 +48,7 @@ def ex424_file(tmp_path):
 @pytest.fixture
 def m3_file(tmp_path):
     path = tmp_path / "m3.json"
-    doc = {
-        "elements": ["0", "a", "b", "c", "1"],
-        "covers": [["a", "0"], ["b", "0"], ["c", "0"], ["1", "a"], ["1", "b"], ["1", "c"]],
-    }
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(emit_lattice(m3()), encoding="utf-8")
     return str(path)
 
 

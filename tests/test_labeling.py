@@ -11,6 +11,7 @@ from helpers import (
     corpus,
     first_sd_witness,
     labeled_corpus,
+    m3,
     per_cover_labels,
     run_optimized,
     small_corpus,
@@ -91,13 +92,6 @@ EX426_LABELS = {
     ("5*", "4"): "1",
     ("4*", "6"): "2",
 }
-
-
-def m3():
-    return build_lattice(
-        ["0", "a", "b", "c", "1"],
-        [("a", "0"), ("b", "0"), ("c", "0"), ("1", "a"), ("1", "b"), ("1", "c")],
-    )
 
 
 def chain_under_m3(length):

@@ -15,10 +15,33 @@ from helpers import (
     brute_meet,
     corpus,
     first_input_defect,
+    m3,
     run_optimized,
     small_labeled_corpus,
 )
-from kappalat import Lattice, bits_of, build_lattice, gen_a2, gen_boolean, gen_fig1
+from kappalat import (
+    Lattice,
+    bits_of,
+    build_lattice,
+    cjr,
+    clo_leq,
+    core_label,
+    down_jlabel,
+    extended_kappa,
+    full_labeling,
+    gen_a2,
+    gen_boolean,
+    gen_chain,
+    gen_fig1,
+    join_label,
+    kappa,
+    kappa_dual,
+    kappa_leq,
+    meet_label,
+    up_jlabel,
+    verify_cjr_oracle,
+    x_down,
+)
 from kappalat import _backend
 from kappalat._bits import pick
 from kappalat.errors import (
@@ -37,6 +60,29 @@ from kappalat.lattice import _raise_first_defect, _topological_order
 from strategies import build, large_orders, lattices
 
 
+# Each public function that takes element ids, with x as one of them; on
+# gen_chain(3) (ids 0..2, arrows (1, 0) and (2, 1)) every other id is valid.
+ELEMENT_QUERIES = {
+    "join_label_upper": lambda lat, lab, x: join_label(lat, (x, 1)),
+    "join_label_lower": lambda lat, lab, x: join_label(lat, (2, x)),
+    "meet_label_upper": lambda lat, lab, x: meet_label(lat, (x, 1)),
+    "meet_label_lower": lambda lat, lab, x: meet_label(lat, (2, x)),
+    "kappa": lambda lat, lab, x: kappa(lat, x),
+    "kappa_dual": lambda lat, lab, x: kappa_dual(lat, x),
+    "down_jlabel": lambda lat, lab, x: down_jlabel(lat, lab, x),
+    "up_jlabel": lambda lat, lab, x: up_jlabel(lat, lab, x),
+    "x_down": lambda lat, lab, x: x_down(lat, x),
+    "cjr": lambda lat, lab, x: cjr(lat, lab, x),
+    "extended_kappa": lambda lat, lab, x: extended_kappa(lat, lab, x),
+    "core_label": lambda lat, lab, x: core_label(lat, lab, x),
+    "kappa_leq_x": lambda lat, lab, x: kappa_leq(lat, lab, x, 0),
+    "kappa_leq_y": lambda lat, lab, x: kappa_leq(lat, lab, 0, x),
+    "clo_leq_x": lambda lat, lab, x: clo_leq(lat, lab, x, 0),
+    "clo_leq_y": lambda lat, lab, x: clo_leq(lat, lab, 0, x),
+    "verify_cjr_oracle": lambda lat, lab, x: verify_cjr_oracle(lat, x, 0),
+}
+
+
 def chain3() -> Lattice:
     return build_lattice(["0", "a", "1"], [("a", "0"), ("1", "a")])
 
@@ -44,13 +90,6 @@ def chain3() -> Lattice:
 def diamond() -> Lattice:
     return build_lattice(
         ["0", "a", "b", "1"], [("1", "a"), ("1", "b"), ("a", "0"), ("b", "0")]
-    )
-
-
-def m3() -> Lattice:
-    return build_lattice(
-        ["0", "a", "b", "c", "1"],
-        [("a", "0"), ("b", "0"), ("c", "0"), ("1", "a"), ("1", "b"), ("1", "c")],
     )
 
 
@@ -355,6 +394,14 @@ class TestQueries:
         a2 = gen_a2()
         with pytest.raises(InvalidInterval):
             a2.check_interval((a2.id_of("x"), a2.id_of("y")))
+
+    @pytest.mark.parametrize("x", [-1, 3])
+    @pytest.mark.parametrize("query", ELEMENT_QUERIES.values(), ids=ELEMENT_QUERIES)
+    def test_element_ids_are_checked(self, query, x):
+        lat = gen_chain(3)
+        assert lat.check_element(2) == 2
+        with pytest.raises(UnknownElement, match=rf"^no element with id {x}$"):
+            query(lat, full_labeling(lat), x)
 
     def test_star_examples(self):
         lat = chain3()

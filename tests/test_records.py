@@ -14,7 +14,7 @@ import pickle
 
 import pytest
 
-from helpers import corpus
+from helpers import corpus, m3
 from kappalat import (
     build_lattice,
     derived_poset,
@@ -27,13 +27,6 @@ from kappalat import (
     parse_lattice,
     semidistributive_witness,
 )
-
-
-def m3():
-    return build_lattice(
-        ["0", "a", "b", "c", "1"],
-        [("a", "0"), ("b", "0"), ("c", "0"), ("1", "a"), ("1", "b"), ("1", "c")],
-    )
 
 
 def records():

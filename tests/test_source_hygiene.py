@@ -23,10 +23,17 @@
 - No module defines ``__setattr__``, ``__delattr__``, ``__eq__``,
   ``__hash__`` or ``__reduce__``: value types are ``NamedTuple``s and
   take their value protocol from it.
+- No top-level function name is defined twice among the modules under
+  ``tests/``: a shared test helper lives in one module, which the others
+  import.
+- Every module of the package and of ``tests/`` parses as the oldest
+  Python that ``pyproject.toml``'s ``requires-python`` admits.
 """
 
 import ast
 import importlib
+import re
+from collections import defaultdict
 from collections.abc import Iterable
 from pathlib import Path
 
@@ -38,6 +45,7 @@ TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "kappalat"
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -169,6 +177,26 @@ def export_mismatch(table: dict[str, str]) -> list[str]:
     ]
 
 
+def duplicate_functions(sources: dict[str, str]) -> list[str]:
+    """Top-level function names defined more than once across sources (module -> text)."""
+    defined_in = defaultdict(list)
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined_in[node.name].append(module)
+    return [
+        f"{name} ({', '.join(modules)})"
+        for name, modules in sorted(defined_in.items())
+        if len(modules) > 1
+    ]
+
+
+def python_floor() -> tuple[int, int]:
+    """The oldest Python that pyproject.toml's requires-python admits."""
+    text = (TESTS.parent / "pyproject.toml").read_text(encoding="utf-8")
+    return 3, int(re.search(r'^requires-python = ">=3\.(\d+)"$', text, re.M).group(1))
+
+
 def test_modules_found():
     assert {"lattice.py", "cli.py", "_backend.py"} <= {p.name for p in MODULES}
 
@@ -282,3 +310,31 @@ def test_export_mismatch_is_reported():
     # a name the module lacks, and a name the module imports from another
     table = {"bits_of": "_bits", "gone": "io", "build_lattice": "io"}
     assert export_mismatch(table) == ["gone", "build_lattice"]
+
+
+def test_each_test_helper_is_defined_once():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in TEST_MODULES}
+    assert duplicate_functions(sources) == []
+
+
+def test_duplicate_function_is_reported():
+    sources = {
+        "a.py": "def m3():\n    pass\n\ndef f():\n    pass\n",
+        "b.py": "class C:\n    def f(self):\n        pass\n\ndef m3():\n    pass\n",
+    }
+    assert duplicate_functions(sources) == ["m3 (a.py, b.py)"]
+
+
+@pytest.mark.parametrize(
+    "path", ALL_MODULES + TEST_MODULES, ids=lambda p: f"{p.parent.name}/{p.name}"
+)
+def test_parses_at_the_python_floor(path):
+    ast.parse(path.read_text(encoding="utf-8"), feature_version=python_floor())
+
+
+def test_syntax_above_the_python_floor_is_reported():
+    assert python_floor() == (3, 10)
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(source, feature_version=(3, 11))
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
+        ast.parse(source, feature_version=python_floor())
