@@ -64,27 +64,24 @@ def label_tables(
 
 
 def jlabel(lattice: Lattice, labeling: ArrowLabeling, iv: Interval) -> int:
-    """Label set of [a, b] by the membership rule: j <= b and kappa(j) >= a."""
+    """Label set of [a, b] by the membership rule: j <= b and kappa(j) >= a.
+
+    Walks only the join-irreducibles below b.
+    """
     a, b = lattice.check_interval(iv)
-    down_b = lattice.down[b]
-    up_a = lattice.up[a]
-    mask = 0
-    for j in bits_of(labeling.jirr):
-        if (down_b >> j) & 1 and (up_a >> labeling.kappa[j]) & 1:
-            mask |= 1 << j
-    return mask
+    up_a, kappa = lattice.up[a], labeling.kappa
+    return mask_of(j for j in bits_of(lattice.down[b] & labeling.jirr) if up_a >> kappa[j] & 1)
 
 
 def jlabel_scan(lattice: Lattice, labeling: ArrowLabeling, iv: Interval) -> int:
-    """Label set of [a, b] by scanning arrows: gamma over covers inside [a, b]."""
+    """Label set of [a, b] by scanning arrows: gamma over covers inside [a, b].
+
+    Walks only the uppers u in [a, b] and their lower covers l >= a.
+    """
     a, b = lattice.check_interval(iv)
-    down_b = lattice.down[b]
     up_a = lattice.up[a]
-    mask = 0
-    for (upper, lower), j in labeling.gamma.items():
-        if (up_a >> lower) & 1 and (down_b >> upper) & 1:
-            mask |= 1 << j
-    return mask
+    arrows = ((u, l) for u in bits_of(up_a & lattice.down[b]) for l in lattice.cover_downs[u])
+    return mask_of(labeling.gamma[arrow] for arrow in arrows if up_a >> arrow[1] & 1)
 
 
 def down_jlabel(lattice: Lattice, labeling: ArrowLabeling, x: int) -> int:

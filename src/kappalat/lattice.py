@@ -81,7 +81,7 @@ class Lattice(NamedTuple):
             raise UnknownElement(f"no element named {name!r}") from None
 
     def leq(self, a: int, b: int) -> bool:
-        return bool((self.up[a] >> b) & 1)
+        return bool((self.up[self.check_element(a)] >> self.check_element(b)) & 1)
 
     def join(self, xs: Iterable[int]) -> int:
         """Least upper bound: the lowest bit of the AND of the up-sets.
@@ -90,14 +90,16 @@ class Lattice(NamedTuple):
         up-set is its least element.  The join of the empty set is the
         bottom.
         """
-        return lowest_bit(reduce(and_, map(self.up.__getitem__, xs), self.up[0]))
+        ups = map(self.up.__getitem__, map(self.check_element, xs))
+        return lowest_bit(reduce(and_, ups, self.up[0]))
 
     def meet(self, xs: Iterable[int]) -> int:
         """Greatest lower bound: the highest bit of the AND of the down-sets.
 
         The meet of the empty set is the top.
         """
-        return highest_bit(reduce(and_, map(self.down.__getitem__, xs), self.down[-1]))
+        downs = map(self.down.__getitem__, map(self.check_element, xs))
+        return highest_bit(reduce(and_, downs, self.down[-1]))
 
     def or_below(self, seeds: Sequence[int]) -> list[int]:
         """out[x] = OR of seeds[y] over all y <= x; one OR per cover."""
@@ -123,7 +125,7 @@ class Lattice(NamedTuple):
 
     def check_interval(self, iv: Interval) -> Interval:
         a, b = iv
-        if not (0 <= a < self.n and 0 <= b < self.n and self.leq(a, b)):
+        if not (0 <= a < self.n and 0 <= b < self.n and self.up[a] >> b & 1):
             raise InvalidInterval(
                 f"[{self.names[a] if 0 <= a < self.n else a}, "
                 f"{self.names[b] if 0 <= b < self.n else b}] is not an interval"
@@ -132,11 +134,11 @@ class Lattice(NamedTuple):
 
     def star_down(self, x: int) -> int:
         """Join of everything strictly below x (its lower covers suffice)."""
-        return self.join(self.cover_downs[x])
+        return self.join(self.cover_downs[self.check_element(x)])
 
     def star_up(self, x: int) -> int:
         """Meet of everything strictly above x (its upper covers suffice)."""
-        return self.meet(self.cover_ups[x])
+        return self.meet(self.cover_ups[self.check_element(x)])
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Lattice({self.n} elements, {len(self.covers)} covers)"

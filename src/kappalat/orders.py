@@ -192,7 +192,7 @@ def core_label(lattice: Lattice, labeling: ArrowLabeling, x: int) -> int:
 
 def kappa_leq(lattice: Lattice, labeling: ArrowLabeling, x: int, y: int) -> bool:
     """x <= y and extended_kappa(x) >= extended_kappa(y)."""
-    if not lattice.leq(lattice.check_element(x), lattice.check_element(y)):
+    if not lattice.leq(x, y):
         return False
     return lattice.leq(
         extended_kappa(lattice, labeling, y), extended_kappa(lattice, labeling, x)

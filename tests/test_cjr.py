@@ -3,6 +3,7 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 from helpers import labeled_corpus, small_labeled_corpus
 from kappalat import (
@@ -32,6 +33,8 @@ from kappalat import (
     x_down,
 )
 from kappalat.errors import TooLarge
+from strategies import lattices
+from test_order_tables import _sd_lattice
 
 FIG1_ORDER_EDGES = {
     ("1", "0"), ("2", "0"), ("3", "0"), ("4", "0"), ("5", "0"),
@@ -73,6 +76,34 @@ EX424_CLO_EDGES = {
 
 def _named_edges(lat, relation):
     return {(lat.names[u], lat.names[l]) for u, l in relation.hasse}
+
+
+def _assert_join_complex_is_flag(lat, lab):
+    """The canonical join complex is flag: the cliques of the graph on jirr
+    with i ~ j iff i <= kappa(j) and j <= kappa(i), read off lab.kappa and
+    lat.down alone, are exactly the canonical join representations (Barnard,
+    Electron. J. Combin. 2019; Reading-Speyer-Thomas, arXiv:1907.08050)."""
+    down, kappa, jirr = lat.down, lab.kappa, lab.jirr
+    compatible = {
+        j: mask_of(i for i in bits_of(jirr) if down[kappa[j]] >> i & 1 and down[kappa[i]] >> j & 1)
+        for j in bits_of(jirr)
+    }
+    cliques = []
+
+    def grow(clique, candidates):
+        cliques.append(clique)
+        for i in bits_of(candidates):
+            # only larger ids extend it, so each clique is reached once
+            grow(clique | 1 << i, candidates & compatible[i] & -(2 << i))
+
+    grow(0, jirr)
+    assert sorted(cliques) == sorted(cjr(lat, lab, x) for x in range(lat.n))
+
+
+@settings(deadline=None)
+@given(lattices())
+def test_join_complex_is_flag_on_random_lattices(order):
+    _assert_join_complex_is_flag(*_sd_lattice(order))
 
 
 class TestCjr:
@@ -126,6 +157,10 @@ class TestCjr:
                 continue
             for x in range(lat.n):
                 assert verify_cjr_oracle(lat, x, cjr(lat, lab, x))
+
+    def test_join_complex_is_flag(self):
+        for _, lat, lab in labeled_corpus():
+            _assert_join_complex_is_flag(lat, lab)
 
     def test_orthogonal_antichains_are_unique(self):
         # any orthogonal antichain of join-irreducibles joining to x is CJR(x)

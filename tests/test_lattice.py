@@ -60,9 +60,16 @@ from kappalat.lattice import _raise_first_defect, _topological_order
 from strategies import build, large_orders, lattices
 
 
-# Each public function that takes element ids, with x as one of them; on
-# gen_chain(3) (ids 0..2, arrows (1, 0) and (2, 1)) every other id is valid.
+# Each public function or Lattice query method that takes element ids, with
+# x as one of them; on gen_chain(3) (ids 0..2, arrows (1, 0) and (2, 1))
+# every other id is valid.
 ELEMENT_QUERIES = {
+    "leq_a": lambda lat, lab, x: lat.leq(x, 0),
+    "leq_b": lambda lat, lab, x: lat.leq(0, x),
+    "join": lambda lat, lab, x: lat.join([0, x]),
+    "meet": lambda lat, lab, x: lat.meet([0, x]),
+    "star_down": lambda lat, lab, x: lat.star_down(x),
+    "star_up": lambda lat, lab, x: lat.star_up(x),
     "join_label_upper": lambda lat, lab, x: join_label(lat, (x, 1)),
     "join_label_lower": lambda lat, lab, x: join_label(lat, (2, x)),
     "meet_label_upper": lambda lat, lab, x: meet_label(lat, (x, 1)),

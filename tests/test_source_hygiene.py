@@ -201,7 +201,7 @@ def test_modules_found():
     assert {"lattice.py", "cli.py", "_backend.py"} <= {p.name for p in MODULES}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
