@@ -17,7 +17,7 @@ from operator import and_, or_
 from typing import NamedTuple
 
 from . import _backend
-from ._bits import bits_of, mask_of, pick
+from ._bits import bits_of, lowest_bit, mask_of, pick
 from .errors import InternalInvariant, TooLarge
 from .lattice import Interval, Lattice
 from .labeling import ArrowLabeling
@@ -110,7 +110,8 @@ def interval_tops(lattice: Lattice, kind: str) -> Sequence[int]:
     """tops[a] = the mask of the b for which [a, b] is an interval of kind.
 
     all: up[a] itself, no copy.  ICE: the b in up[a] below the bound
-    a v (all upper covers of a).  Wide: the joins a v VS over the sets S
+    a v (all upper covers of a), read as the lowest bit of the AND of
+    their up-sets with up[a].  Wide: the joins a v VS over the sets S
     of upper covers of a.  If b = a v VS, the covers of a below b include
     S, and with a they join to at most b, hence to exactly b: [a, b]
     passes is_wide_interval.
@@ -131,7 +132,7 @@ def interval_tops(lattice: Lattice, kind: str) -> Sequence[int]:
     if kind == "ice":
         down = lattice.down
         tops = [
-            up[a] & down[lattice.join((a, *uppers))]
+            up[a] & down[lowest_bit(reduce(and_, (up[c] for c in uppers), up[a]))]
             for a, uppers in enumerate(lattice.cover_ups)
         ]
         if sum(t.bit_count() for t in tops) > MAX_INTERVALS:

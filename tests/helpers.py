@@ -63,10 +63,6 @@ def labeled_corpus():
     return tuple((name, lat, full_labeling(lat)) for name, lat in corpus())
 
 
-def small_corpus(limit: int = 12):
-    return [(name, lat) for name, lat in corpus() if lat.n <= limit]
-
-
 def small_labeled_corpus(limit: int = 40):
     return [(name, lat, lab) for name, lat, lab in labeled_corpus() if lat.n <= limit]
 

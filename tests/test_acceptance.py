@@ -1,5 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
+This is the one place that checks the paper's examples (Tables 1 and 2,
+the order figures, ex424's divergence, the extended kappa orbits) and the
+identities asserted over the whole corpus (the kappa bijection, canonical
+join representations, the small exhaustive oracles, the JSON round trip);
+the unit test modules do not repeat these checks.
+
 Run with `pytest -v -s tests/test_acceptance.py` to see the lines.
 """
 
@@ -18,6 +24,7 @@ from helpers import (
     cambrian_sym,
     corpus,
     induced_lattice,
+    m3,
     weak_order,
 )
 from kappalat import (
@@ -31,7 +38,6 @@ from kappalat import (
     down_jlabel,
     emit_lattice,
     extended_kappa_table,
-    first_order_mismatch,
     full_labeling,
     gen_a2,
     gen_chain,
@@ -48,23 +54,65 @@ from kappalat import (
     order_poset,
     parse_lattice,
     semidistributive_witness,
-    sufficiency_failures,
     up_jlabel,
     verify_cjr_oracle,
 )
 from kappalat.errors import NotALattice
 
 from strategies import random_bounded_poset
-from test_cjr import EX426_ORDER_EDGES, FIG1_ORDER_EDGES
-from test_intervals import (
-    A2_FAMILIES,
-    A2_ICE_INTERVALS,
-    A2_INTERVALS,
-    A2_WIDE_INTERVALS,
-    FIG1_FAMILIES,
-    _family_strings,
-    _set_strings,
+
+FIG1_FAMILIES = {
+    "all": [
+        "", "1", "2", "3", "4", "5", "13", "14", "15", "24", "25", "34", "35",
+        "125", "134", "135", "234", "245", "1245", "2345", "12345",
+    ],
+    "wide": ["", "1", "2", "3", "4", "5", "13", "14", "35", "125", "234", "12345"],
+    "ice": [
+        "", "1", "2", "3", "4", "5", "13", "14", "25", "34", "35",
+        "125", "134", "234", "2345", "12345",
+    ],
+}
+
+A2_INTERVALS = [
+    ("0", "x"), ("0", "y"), ("0", "z"), ("0", "w"), ("0", "0"), ("w", "x"),
+    ("w", "w"), ("z", "x"), ("z", "y"), ("z", "z"), ("y", "x"), ("y", "y"), ("x", "x"),
+]
+A2_WIDE_INTERVALS = [iv for iv in A2_INTERVALS if iv not in (("0", "y"), ("z", "x"))]
+A2_ICE_INTERVALS = [iv for iv in A2_INTERVALS if iv != ("z", "x")]
+A2_FAMILIES = {
+    "all": ["", "y", "z", "w", "yz", "yw", "yzw"],
+    "wide": ["", "y", "z", "w", "yzw"],
+    "ice": ["", "y", "z", "w", "yz", "yzw"],
+}
+
+FIG1_ORDER_EDGES = {
+    ("1", "0"), ("2", "0"), ("3", "0"), ("4", "0"), ("5", "0"),
+    ("1*", "3"), ("1*", "5"),
+    ("2*", "1"), ("2*", "4"),
+    ("3*", "1"), ("3*", "2"), ("3*", "5"),
+    ("4*", "1"), ("4*", "3"),
+    ("5*", "2"), ("5*", "3"), ("5*", "4"),
+    ("0*", "1*"), ("0*", "2*"), ("0*", "3*"), ("0*", "4*"), ("0*", "5*"),
+}
+
+EX426_ORDER_EDGES = (
+    {(str(i), "0") for i in range(1, 7)}
+    | {("0*", f"{i}*") for i in range(1, 7)}
+    | {("6*", "1"), ("6*", "3"), ("6*", "5")}
+    | {("5*", "1"), ("5*", "2"), ("5*", "4")}
+    | {("4*", "2"), ("4*", "3"), ("4*", "6")}
+    | {("3*", "2"), ("3*", "5")}
+    | {("2*", "1"), ("2*", "6")}
+    | {("1*", "3"), ("1*", "4")}
 )
+
+
+def _family_strings(lat, fam):
+    return sorted("".join(lat.names[j] for j in bits_of(m)) for m in fam.members)
+
+
+def _set_strings(lat, names):
+    return sorted("".join(sorted(s, key=lat.id_of)) for s in names)
 
 
 def _report(num: int, what: str, elapsed: float, budget: float) -> None:
@@ -111,6 +159,7 @@ def test_criterion_3_order_figures():
         by_clo = order_poset(lat, lab, "clo")
         assert by_kappa.up == by_clo.up
         assert {(lat.names[u], lat.names[l]) for u, l in by_kappa.hasse} == expected
+        assert len(by_kappa.hasse) == len(expected)
     _report(3, "kappa and clo orders agree and match the expected diagrams", time.perf_counter() - t0, 0.1)
 
 
@@ -118,10 +167,9 @@ def test_criterion_4_divergent_example():
     t0 = time.perf_counter()
     lat = gen_ex424()
     lab = full_labeling(lat)
-    x, y = first_order_mismatch(lat, lab)
+    (x, y), failures = compare_orders(lat, lab)
     assert (lat.names[x], lat.names[y]) == ("j4", "x")
     assert clo_leq(lat, lab, x, y) and not kappa_leq(lat, lab, x, y)
-    failures = sufficiency_failures(lat, lab)
     assert lat.names[failures[0]] == "x"
     _report(4, "ex424 orders diverge at (j4, x); sufficiency fails first at x", time.perf_counter() - t0, 0.1)
 
@@ -151,6 +199,8 @@ def test_criterion_6_identity_suite():
     t0 = time.perf_counter()
     for name, lat in corpus.__wrapped__():
         lab = full_labeling(lat)
+        assert sorted(lab.kappa) == list(bits_of(lab.jirr))
+        assert sorted(lab.kappa_dual) == list(bits_of(lab.mirr))
         for j, m in lab.kappa.items():
             assert lab.kappa_dual[m] == j
             assert lat.join([j, m]) == lat.star_up(m)
@@ -178,6 +228,7 @@ def test_criterion_6_identity_suite():
 
 def test_criterion_7_small_oracles():
     t0 = time.perf_counter()
+    assert brute_semidistributive(m3()) is False
     for name, lat in corpus.__wrapped__():
         if lat.n > 12:
             continue

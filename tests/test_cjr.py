@@ -11,10 +11,7 @@ from kappalat import (
     cjr,
     clo_leq,
     compare_orders,
-    core_label,
-    down_jlabel,
     extended_kappa,
-    extended_kappa_table,
     first_order_mismatch,
     full_labeling,
     gen_a2,
@@ -28,34 +25,12 @@ from kappalat import (
     mask_of,
     order_poset,
     sufficiency_failures,
-    up_jlabel,
     verify_cjr_oracle,
     x_down,
 )
 from kappalat.errors import TooLarge
 from strategies import lattices
 from test_order_tables import _sd_lattice
-
-FIG1_ORDER_EDGES = {
-    ("1", "0"), ("2", "0"), ("3", "0"), ("4", "0"), ("5", "0"),
-    ("1*", "3"), ("1*", "5"),
-    ("2*", "1"), ("2*", "4"),
-    ("3*", "1"), ("3*", "2"), ("3*", "5"),
-    ("4*", "1"), ("4*", "3"),
-    ("5*", "2"), ("5*", "3"), ("5*", "4"),
-    ("0*", "1*"), ("0*", "2*"), ("0*", "3*"), ("0*", "4*"), ("0*", "5*"),
-}
-
-EX426_ORDER_EDGES = (
-    {(str(i), "0") for i in range(1, 7)}
-    | {("0*", f"{i}*") for i in range(1, 7)}
-    | {("6*", "1"), ("6*", "3"), ("6*", "5")}
-    | {("5*", "1"), ("5*", "2"), ("5*", "4")}
-    | {("4*", "2"), ("4*", "3"), ("4*", "6")}
-    | {("3*", "2"), ("3*", "5")}
-    | {("2*", "1"), ("2*", "6")}
-    | {("1*", "3"), ("1*", "4")}
-)
 
 EX424_KAPPA_EDGES = {
     ("1", "x"), ("1", "y"), ("1", "z"), ("1", "j4"),
@@ -151,13 +126,6 @@ class TestCjr:
         with pytest.raises(TooLarge):
             verify_cjr_oracle(gen_ex426(), 0, 0)
 
-    def test_cjr_passes_oracle(self):
-        for _, lat, lab in labeled_corpus():
-            if lat.n > 12:
-                continue
-            for x in range(lat.n):
-                assert verify_cjr_oracle(lat, x, cjr(lat, lab, x))
-
     def test_join_complex_is_flag(self):
         for _, lat, lab in labeled_corpus():
             _assert_join_complex_is_flag(lat, lab)
@@ -194,31 +162,10 @@ class TestExtendedKappa:
         lab = full_labeling(lat)
         assert lat.names[extended_kappa(lat, lab, lat.id_of("x"))] == "j3"
 
-    def test_ex426_orbits(self):
-        lat = gen_ex426()
-        lab = full_labeling(lat)
-        exk = extended_kappa_table(lat, lab)
-        step = {lat.names[x]: lat.names[y] for x, y in enumerate(exk)}
-        for cycle in (["1", "1*", "2", "2*", "3", "3*"], ["4", "4*", "5", "5*", "6", "6*"]):
-            for i, name in enumerate(cycle):
-                assert step[name] == cycle[(i + 1) % len(cycle)]
-        assert step["0"] == "0*" and step["0*"] == "0"
-
     def test_restricts_to_kappa(self):
         for _, lat, lab in labeled_corpus():
             for j, m in lab.kappa.items():
                 assert extended_kappa(lat, lab, j) == m
-
-    def test_is_permutation(self):
-        for _, lat, lab in labeled_corpus():
-            table = extended_kappa_table(lat, lab)
-            assert sorted(table) == list(range(lat.n))
-
-    def test_down_labels_equal_up_labels_of_image(self):
-        for _, lat, lab in labeled_corpus():
-            for x in range(lat.n):
-                y = extended_kappa(lat, lab, x)
-                assert down_jlabel(lat, lab, x) == up_jlabel(lat, lab, y)
 
 
 class TestCoreInterval:
@@ -228,11 +175,6 @@ class TestCoreInterval:
         assert x_down(lat, lat.bottom) == lat.bottom
         lat = gen_ex426()
         assert lat.names[x_down(lat, lat.id_of("5*"))] == "0"
-
-    def test_element_is_join_of_core_labels(self):
-        for _, lat, lab in labeled_corpus():
-            for x in range(lat.n):
-                assert lat.join(bits_of(core_label(lat, lab, x))) == x
 
 
 class TestOrders:
@@ -256,27 +198,11 @@ class TestOrders:
         for y in range(lat.n):
             assert clo_leq(lat, lab, lat.bottom, y)
 
-    def test_fig1_orders_match_figure(self):
-        lat = gen_fig1()
-        lab = full_labeling(lat)
-        by_kappa = order_poset(lat, lab, "kappa")
-        by_clo = order_poset(lat, lab, "clo")
-        assert by_kappa.up == by_clo.up
-        assert _named_edges(lat, by_kappa) == FIG1_ORDER_EDGES
-        assert len(by_kappa.hasse) == 22
-
     def test_ex424_orders_match_figures(self):
         lat = gen_ex424()
         lab = full_labeling(lat)
         assert _named_edges(lat, order_poset(lat, lab, "kappa")) == EX424_KAPPA_EDGES
         assert _named_edges(lat, order_poset(lat, lab, "clo")) == EX424_CLO_EDGES
-
-    def test_ex426_orders_match_figure(self):
-        lat = gen_ex426()
-        lab = full_labeling(lat)
-        by_kappa = order_poset(lat, lab, "kappa")
-        assert by_kappa.up == order_poset(lat, lab, "clo").up
-        assert _named_edges(lat, by_kappa) == EX426_ORDER_EDGES
 
     def test_relations_are_partial_orders(self):
         for _, lat, lab in small_labeled_corpus(40):

@@ -28,6 +28,13 @@
   import.
 - Every module of the package and of ``tests/`` parses as the oldest
   Python that ``pyproject.toml``'s ``requires-python`` admits.
+- Every top-level function of ``tests/helpers.py`` and
+  ``tests/strategies.py`` is imported by some ``tests/test_*.py`` or read
+  by a helper that is, so no oracle is left without a caller.
+- README's ``## Limits`` section cites each size cap of the package
+  (``lattice.MAX_ELEMENTS``, the four ``generators.*_CAP``,
+  ``intervals.MAX_INTERVALS`` and ``intervals.MAX_LABEL_SETS``) with the
+  value the code has, so raising a cap makes its README edit mandatory.
 """
 
 import ast
@@ -191,6 +198,64 @@ def duplicate_functions(sources: dict[str, str]) -> list[str]:
     ]
 
 
+def unreached_helpers(helpers: dict[str, str], tests: Iterable[str]) -> list[str]:
+    """Top-level functions of helpers (module name -> text) that no module
+    of tests imports, directly or through the helpers such an import reads."""
+    reads = {
+        node.name: {name.id for name in ast.walk(node) if isinstance(name, ast.Name)}
+        for source in helpers.values()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    todo = [
+        alias.name
+        for source in tests
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module in helpers
+        for alias in node.names
+    ]
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name in reads and name not in reached:
+            reached.add(name)
+            todo += reads[name]
+    return sorted(set(reads) - reached)
+
+
+# Each size cap and the phrases of README's Limits section that cite it.
+README_LIMITS = {
+    ("lattice", "MAX_ELEMENTS"): [r"capped at ([\d,]+) elements", r"([\d,]+)-element cap"],
+    ("generators", "CHAIN_CAP"): [r"`chain` ([\d,]+)"],
+    ("generators", "BOOLEAN_CAP"): [r"`boolean` ([\d,]+)"],
+    ("generators", "WEAK_SYM_CAP"): [r"`weak_sym` ([\d,]+)"],
+    ("generators", "WEAK_DIHEDRAL_CAP"): [r"`weak_dihedral` ([\d,]+)"],
+    ("intervals", "MAX_INTERVALS"): [
+        r"more than ([\d,]+) (?:\w+ )?intervals", r"intervals to sweep; the cap is ([\d,]+)"
+    ],
+    ("intervals", "MAX_LABEL_SETS"): [
+        r"more than ([\d,]+) distinct (?:\w+ )?label sets", r"label sets; the cap is ([\d,]+)"
+    ],
+}
+
+
+def stale_limits(readme: str) -> list[str]:
+    """Caps of README_LIMITS that README's ## Limits section cites nowhere,
+    or with a number other than the constant's value."""
+    section = " ".join(readme.split("\n## Limits\n", 1)[1].split("\n## ", 1)[0].split())
+    stale = []
+    for (module, name), phrases in README_LIMITS.items():
+        value = getattr(importlib.import_module(f"kappalat.{module}"), name)
+        cited = [
+            int(number.replace(",", ""))
+            for phrase in phrases
+            for number in re.findall(phrase, section)
+        ]
+        if not cited or set(cited) != {value}:
+            stale.append(f"{module}.{name} = {value}, cited as {cited}")
+    return stale
+
+
 def python_floor() -> tuple[int, int]:
     """The oldest Python that pyproject.toml's requires-python admits."""
     text = (TESTS.parent / "pyproject.toml").read_text(encoding="utf-8")
@@ -338,3 +403,33 @@ def test_syntax_above_the_python_floor_is_reported():
     ast.parse(source, feature_version=(3, 11))
     with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
         ast.parse(source, feature_version=python_floor())
+
+
+def test_every_test_helper_has_a_caller():
+    helpers = {m: (TESTS / f"{m}.py").read_text(encoding="utf-8") for m in ("helpers", "strategies")}
+    tests = [p.read_text(encoding="utf-8") for p in TESTS.glob("test_*.py")]
+    assert unreached_helpers(helpers, tests) == []
+
+
+def test_unreached_helper_is_reported():
+    helpers = {
+        "helpers": "def used():\n    return _inner()\n\ndef _inner():\n    pass\n\n"
+        "def dead():\n    return used()\n",
+        "strategies": "def drawn():\n    pass\n\ndef orphan():\n    pass\n",
+    }
+    tests = ["from helpers import used\nfrom strategies import drawn\nfrom other import orphan\n"]
+    assert unreached_helpers(helpers, tests) == ["dead", "orphan"]
+
+
+def test_readme_limits_match_the_caps():
+    assert stale_limits((TESTS.parent / "README.md").read_text(encoding="utf-8")) == []
+
+
+def test_stale_readme_limit_is_reported(monkeypatch):
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    monkeypatch.setattr(importlib.import_module("kappalat.lattice"), "MAX_ELEMENTS", 16384)
+    assert stale_limits(readme) == ["lattice.MAX_ELEMENTS = 16384, cited as [5000, 5000]"]
+    monkeypatch.undo()
+    assert stale_limits(readme.replace("`boolean` 12", "`boolean` twelve")) == [
+        "generators.BOOLEAN_CAP = 12, cited as []"
+    ]
