@@ -44,6 +44,7 @@ from .lattice import Lattice
 from .labeling import ArrowLabeling
 
 ORDER_KINDS = ("kappa", "clo")
+MAX_ORACLE_ELEMENTS = 12  # verify_cjr_oracle walks all 2^n subsets
 
 
 def _check_joinands(lattice: Lattice, labeling: ArrowLabeling, x: int, rep: int) -> list[int]:
@@ -88,12 +89,12 @@ def verify_cjr_oracle(lattice: Lattice, x: int, rep: int) -> bool:
 
     Enumerates every subset B of the lattice with join x and tests that
     rep refines B, plus the antichain and join conditions.  Exponential;
-    refuses lattices above 12 elements.
+    refuses lattices above MAX_ORACLE_ELEMENTS elements.
     """
     lattice.check_element(x)
     n = lattice.n
-    if n > 12:
-        raise TooLarge(f"oracle enumerates 2^{n} subsets; capped at 12 elements")
+    if n > MAX_ORACLE_ELEMENTS:
+        raise TooLarge(f"oracle enumerates 2^{n} subsets; capped at {MAX_ORACLE_ELEMENTS} elements")
     ids = list(bits_of(rep))
     if lattice.join(ids) != x:
         return False

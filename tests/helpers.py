@@ -2,19 +2,21 @@
 
 The oracles only use the leq relation, never the bitmask shortcuts or
 the arrow labelings, so they stay independent of the code paths they
-check.
+check.  corpus_examples runs a random-lattice property test on the
+corpus too, so each property is checked in one test over both.
 """
 
 from __future__ import annotations
 
 import os
-import subprocess
-import sys
 from functools import cache
 from pathlib import Path
 
+from hypothesis import assume, example
+
 import kappalat
 from kappalat import (
+    ArrowLabeling,
     Lattice,
     SetFamilyPoset,
     bits_of,
@@ -31,6 +33,7 @@ from kappalat import (
     is_ice_interval,
     is_wide_interval,
     jlabel,
+    semidistributive_witness,
 )
 from kappalat.errors import (
     CyclicCovers,
@@ -40,6 +43,7 @@ from kappalat.errors import (
     RedundantCover,
     UnknownName,
 )
+from strategies import build
 
 
 @cache
@@ -65,6 +69,33 @@ def labeled_corpus():
 
 def small_labeled_corpus(limit: int = 40):
     return [(name, lat, lab) for name, lat, lab in labeled_corpus() if lat.n <= limit]
+
+
+def corpus_examples(*extra, limit=None):
+    """Give a @given(lattices()) test each corpus lattice of at most limit
+    elements as an explicit example, with extra as its further arguments.
+
+    Corpus ids are a linear extension, so strategies.build rebuilds each
+    lattice with the same ids, masks and covers.  Hypothesis runs explicit
+    examples from the last one attached to the first, and before any
+    random draw, so attaching them in reverse runs them in corpus order.
+    """
+
+    def attach(test):
+        for _, lat in reversed(corpus()):
+            if limit is None or lat.n <= limit:
+                test = example((lat.n, list(lat.covers)), *extra)(test)
+        return test
+
+    return attach
+
+
+def sd_lattice(order) -> tuple[Lattice, ArrowLabeling]:
+    """The lattice of a drawn (n, covers) order and its labeling; Hypothesis
+    rejects the draw unless the lattice is semidistributive."""
+    lat = build(*order)
+    assume(semidistributive_witness(lat) is None)
+    return lat, full_labeling(lat)
 
 
 def m3() -> Lattice:
@@ -463,15 +494,11 @@ def per_cover_labels(lattice: Lattice) -> tuple[list[int], list[int]]:
     )
 
 
-def run_optimized(script: str) -> str:
-    """stdout of script run under python -O, with this checkout's kappalat."""
+def checkout_env() -> dict[str, str]:
+    """The environment with this checkout's kappalat first on PYTHONPATH,
+    for a child interpreter."""
     src = str(Path(kappalat.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=False
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
 def _phi_sub_mul(x: tuple[int, int], k: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:

@@ -29,7 +29,6 @@ from helpers import (
 )
 from kappalat import (
     bits_of,
-    build_lattice,
     cjr,
     clo_leq,
     compare_orders,
@@ -59,7 +58,7 @@ from kappalat import (
 )
 from kappalat.errors import NotALattice
 
-from strategies import random_bounded_poset
+from strategies import build, random_bounded_poset
 
 FIG1_FAMILIES = {
     "all": [
@@ -299,12 +298,6 @@ def _is_lattice(n, hasse):
     return brute_first_missing_meet(n, hasse) is None and brute_first_missing_meet(n, dual) is None
 
 
-def _build_order(n, hasse):
-    """build_lattice on the order of 0..n-1 with these (upper, lower) Hasse
-    pairs: the fast lattice test, which raises unless the order is one."""
-    return build_lattice([str(x) for x in range(n)], [(str(u), str(l)) for u, l in hasse])
-
-
 def _theorem(lat, ranks=None):
     """Check the isomorphism theorem on the semidistributive lattice lat and
     return (labeling, clo): x -> core(x) carries clo, which equals the kappa
@@ -318,7 +311,7 @@ def _theorem(lat, ranks=None):
     assert {(image[u], image[l]) for u, l in clo.hasse} == set(wide.hasse)
     assert clo.up == order_poset(lat, lab, "kappa").up
     assert compare_orders(lat, lab) == (None, ())
-    assert _build_order(lat.n, clo.hasse).n == lat.n
+    assert build(lat.n, clo.hasse).n == lat.n
     lowers = [len(downs) for downs in lat.cover_downs]
     assert all(lowers[u] == lowers[l] + 1 for u, l in clo.hasse)
     if ranks is not None:
@@ -338,7 +331,7 @@ def test_criterion_11_isomorphism_theorem():
     cases = [(gen_weak_sym(k), ranks) for k, ranks in eulerian.items()]
     cases += [(gen_weak_dihedral(m), [1, 2 * m - 2, 1]) for m in range(2, 13)]
     cases += [(gen_fig1(), None), (gen_ex426(), None)]
-    # the brute lattice test, too slow for weak_sym(6), cross-checks _build_order
+    # the brute lattice test, too slow for weak_sym(6), cross-checks build
     brute = [gen_weak_sym(k) for k in (3, 4, 5)] + [gen_weak_dihedral(m) for m in (3, 5, 8)]
     for lat, ranks in cases:
         _, clo = _theorem(lat, ranks)
@@ -354,7 +347,7 @@ def test_criterion_11_isomorphism_theorem():
     clo = order_poset(lat, lab, "clo")
     assert not _is_lattice(lat.n, clo.hasse)
     with pytest.raises(NotALattice):
-        _build_order(lat.n, clo.hasse)
+        build(lat.n, clo.hasse)
     _report(11, "wide poset, kappa order and clo are isomorphic; clo is the shard intersection lattice",
             time.perf_counter() - t0, 5.0)
 

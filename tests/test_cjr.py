@@ -3,9 +3,9 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 
-from helpers import labeled_corpus, small_labeled_corpus
+from helpers import corpus_examples, labeled_corpus, sd_lattice, small_labeled_corpus
 from kappalat import (
     bits_of,
     cjr,
@@ -30,7 +30,6 @@ from kappalat import (
 )
 from kappalat.errors import TooLarge
 from strategies import lattices
-from test_order_tables import _sd_lattice
 
 EX424_KAPPA_EDGES = {
     ("1", "x"), ("1", "y"), ("1", "z"), ("1", "j4"),
@@ -75,10 +74,10 @@ def _assert_join_complex_is_flag(lat, lab):
     assert sorted(cliques) == sorted(cjr(lat, lab, x) for x in range(lat.n))
 
 
-@settings(deadline=None)
 @given(lattices())
+@corpus_examples()
 def test_join_complex_is_flag_on_random_lattices(order):
-    _assert_join_complex_is_flag(*_sd_lattice(order))
+    _assert_join_complex_is_flag(*sd_lattice(order))
 
 
 class TestCjr:
@@ -123,12 +122,10 @@ class TestCjr:
         assert not verify_cjr_oracle(chain, 2, 0b010)
 
     def test_oracle_rejects_large(self):
+        with pytest.raises(TooLarge, match=r"^oracle enumerates 2\^13 subsets; capped at 12 elements$"):
+            verify_cjr_oracle(gen_chain(13), 0, 0)
         with pytest.raises(TooLarge):
             verify_cjr_oracle(gen_ex426(), 0, 0)
-
-    def test_join_complex_is_flag(self):
-        for _, lat, lab in labeled_corpus():
-            _assert_join_complex_is_flag(lat, lab)
 
     def test_orthogonal_antichains_are_unique(self):
         # any orthogonal antichain of join-irreducibles joining to x is CJR(x)

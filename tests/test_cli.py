@@ -12,8 +12,7 @@ from pathlib import Path
 
 import pytest
 
-import kappalat
-from helpers import m3
+from helpers import checkout_env, m3
 from kappalat import (
     cli,
     emit_lattice,
@@ -520,9 +519,7 @@ HELP_ARGVS = [["-h"], ["check", "-h"]]
 
 def _module_command(*args):
     """A python -m kappalat command line and the environment that imports this package."""
-    src = str(Path(kappalat.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return [sys.executable, "-m", "kappalat", *args], env
+    return [sys.executable, "-m", "kappalat", *args], checkout_env()
 
 
 class TestClosedPipe:

@@ -180,7 +180,7 @@ class TestDot:
 
 
 class TestJsonWriters:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.data())
     def test_match_json_dumps(self, data):
         _, base, _ = data.draw(st.sampled_from(small_labeled_corpus(20)))
@@ -257,7 +257,7 @@ def _old_lattice_dot(lat, lab=None):
 
 
 class TestDotWriters:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.data())
     def test_match_per_edge_composition(self, data):
         _, base, _ = data.draw(st.sampled_from(small_labeled_corpus(20)))
@@ -278,7 +278,7 @@ class TestDotWriters:
         fam = SetFamilyPoset(kind="wide", members=(), hasse=(), witnesses=())
         assert "".join(emit_family_dot(lat, fam)) == _old_family_dot(lat, fam)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.lists(NAMES, min_size=1, max_size=6, unique=True))
     def test_distinct_members_get_distinct_nodes(self, names):
         lat = build_lattice(names, list(zip(names[1:], names)))
@@ -296,7 +296,7 @@ def _with_parents(mask):
 
 
 class TestMemberTexts:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(st.data())
     def test_joined_matches_pick_join(self, data):
         width = data.draw(st.sampled_from([6, 71]))
@@ -308,7 +308,7 @@ class TestMemberTexts:
         masks = data.draw(st.permutations(pool))
         assert list(_joined(items, sep, masks)) == [sep.join(pick(items, m)) for m in masks]
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.data())
     def test_writers_on_shuffled_members(self, data):
         _, base, _ = data.draw(st.sampled_from(small_labeled_corpus(20)))

@@ -1,20 +1,14 @@
 """Semidistributivity testing, arrow labels, and the kappa bijection."""
 
+import subprocess
+import sys
 import textwrap
 
 import pytest
 
 import kappalat
 
-from helpers import (
-    corpus,
-    first_sd_witness,
-    labeled_corpus,
-    m3,
-    per_cover_labels,
-    run_optimized,
-    small_labeled_corpus,
-)
+from helpers import checkout_env, first_sd_witness, m3, small_labeled_corpus
 from kappalat import (
     _backend,
     bits_of,
@@ -168,13 +162,6 @@ class TestSemidistributivity:
 
 
 class TestIrreducibles:
-    def test_cover_counts_match_star_definition(self):
-        for name, lat, _ in labeled_corpus():
-            stars_down = [x for x in range(lat.n) if lat.star_down(x) != x]
-            stars_up = [x for x in range(lat.n) if lat.star_up(x) != x]
-            assert join_irreducibles(lat) == mask_of(stars_down), name
-            assert meet_irreducibles(lat) == mask_of(stars_up), name
-
     def test_fig1(self):
         lat = gen_fig1()
         assert {lat.names[j] for j in bits_of(join_irreducibles(lat))} == {
@@ -194,12 +181,6 @@ class TestIrreducibles:
 
 
 class TestArrowLabels:
-    def test_one_pass_kernel_matches_the_per_cover_kernels(self):
-        for name, lat in corpus():
-            assert _backend.arrow_labels(lat.up, lat.down, lat.covers) == per_cover_labels(lat)
-        lat = m3()
-        assert _backend.arrow_labels(lat.up, lat.down, lat.covers) is None
-
     def test_fig1_examples(self):
         lat = gen_fig1()
         arrow = (lat.id_of("2*"), lat.id_of("4"))
@@ -293,22 +274,57 @@ class TestKappa:
 
 
 def test_invariant_checks_survive_python_O():
-    # a labeling whose kappa_dual sends a meet-irreducible to the bottom
-    # reaches the label tables' check; python -O drops asserts but not it
+    # python -O drops asserts but none of these checks
     script = textwrap.dedent(
         """
-        from kappalat import derived_poset, full_labeling, gen_fig1
-        from kappalat.errors import InternalInvariant
+        from kappalat import (
+            build_lattice, derived_poset, extended_kappa_table, full_labeling, gen_fig1,
+            order_poset,
+        )
+        from kappalat.errors import LatticeError
 
         assert False, "asserts run, so -O is not in effect"
         lat = gen_fig1()
         lab = full_labeling(lat)
         m = next(iter(lab.kappa_dual))
-        bad = lab._replace(kappa_dual={**lab.kappa_dual, m: lat.bottom})
-        try:
-            derived_poset(lat, bad, "wide")
-        except InternalInvariant as exc:
-            print("InternalInvariant:", exc)
+        arrow = lat.id_of("0*"), lat.id_of("3*")
+        orders = [
+            ("0123456", ["10", "20", "30", "42", "43", "52", "53", "61", "64", "65"]),
+            ("0ab1", ["a0", "b0", "ba", "1b"]),
+            ("0abcd1", ["a0", "b0", "ca", "cb", "da", "db", "1c", "1d"]),
+        ]
+        cases = [
+            # kappa_dual sends a meet-irreducible to the bottom: the label tables' check
+            (derived_poset, lat, lab._replace(kappa_dual={**lab.kappa_dual, m: lat.bottom}), "wide"),
+            # a non-lattice whose missing meet only a pair of later lower
+            # covers shows, an implied cover and a bowtie: the order checks
+            *((build_lattice, list(names), [tuple(pair) for pair in covers])
+              for names, covers in orders),
+            # arrow carries label 3 and its upper end 3* is the extended kappa
+            # image of 3, so relabeling it with the bottom fails the image
+            # check of 3, the first x it affects in id order
+            (extended_kappa_table, lat, lab._replace(gamma={**lab.gamma, arrow: lat.bottom})),
+            # without kappa_dual every core label set is empty (see
+            # test_clo_order_checks_each_element_joins_its_core_labels)
+            (order_poset, lat, lab._replace(kappa_dual={}), "clo"),
+        ]
+        for call, *args in cases:
+            try:
+                call(*args)
+            except LatticeError as exc:
+                print(f"{type(exc).__name__}: {exc}")
         """
     )
-    assert run_optimized(script) == "InternalInvariant: kappa_dual('4*') is not join-irreducible\n"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=checkout_env(), check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "InternalInvariant: kappa_dual('4*') is not join-irreducible\n"
+        "NotALattice: elements '4' and '5' have no greatest lower bound\n"
+        "RedundantCover: cover 'b' > '0' is implied via 'a'\n"
+        "NotALattice: elements 'c' and 'd' have no greatest lower bound\n"
+        "InternalInvariant: up-arrow labels of extended_kappa('3') differ from its joinands\n"
+        "InternalInvariant: '1' is not the join of its core label set\n"
+    )

@@ -1,7 +1,6 @@
 """Lattice construction, validation errors, and order queries."""
 
 import random
-import textwrap
 from functools import reduce
 from operator import or_
 
@@ -14,9 +13,9 @@ from helpers import (
     brute_join,
     brute_meet,
     corpus,
+    corpus_examples,
     first_input_defect,
     m3,
-    run_optimized,
     small_labeled_corpus,
 )
 from kappalat import (
@@ -312,35 +311,7 @@ class TestBuild:
         assert again.names == lat.names
         assert again.covers == lat.covers
 
-    def test_order_checks_survive_python_O(self):
-        # a non-lattice whose missing meet only a pair of later lower
-        # covers shows, an implied cover and a bowtie
-        script = textwrap.dedent(
-            """
-            from kappalat import build_lattice
-            from kappalat.errors import LatticeError
 
-            assert False, "asserts run, so -O is not in effect"
-            cases = [
-                ("0123456", ["10", "20", "30", "42", "43", "52", "53", "61", "64", "65"]),
-                ("0ab1", ["a0", "b0", "ba", "1b"]),
-                ("0abcd1", ["a0", "b0", "ca", "cb", "da", "db", "1c", "1d"]),
-            ]
-            for names, covers in cases:
-                try:
-                    build_lattice(list(names), [tuple(pair) for pair in covers])
-                except LatticeError as exc:
-                    print(f"{type(exc).__name__}: {exc}")
-            """
-        )
-        assert run_optimized(script) == (
-            "NotALattice: elements '4' and '5' have no greatest lower bound\n"
-            "RedundantCover: cover 'b' > '0' is implied via 'a'\n"
-            "NotALattice: elements 'c' and 'd' have no greatest lower bound\n"
-        )
-
-
-@settings(deadline=None)
 @given(lattices(), st.randoms(use_true_random=True))
 def test_kahn_order_of_a_linear_extension_is_the_identity(order, rng):
     n, covers = order
@@ -448,12 +419,9 @@ class TestInvariants:
             rebuilt = build_lattice(list(lat.names), sorted(named))
             assert {(rebuilt.names[u], rebuilt.names[l]) for u, l in rebuilt.covers} == named
 
-    def test_cover_lists_ascending(self):
-        for name, lat in corpus():
-            _assert_cover_lists(lat)
-
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.one_of(lattices(), large_orders()))
+    @corpus_examples()
     def test_cover_lists_ascending_on_random_lattices(self, order):
         try:
             lat = build(*order)
@@ -489,7 +457,7 @@ class TestInvariants:
                             assert lat.join([lat.join([x, y]), z]) == lat.join([x, y, z])
                             assert lat.meet([lat.meet([x, y]), z]) == lat.meet([x, y, z])
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.data())
     def test_join_is_least_upper_bound(self, data):
         boolean = gen_boolean(4)
@@ -510,12 +478,8 @@ def _assert_or_tables(lat: Lattice, rng: random.Random) -> None:
 
 
 class TestOrTables:
-    def test_corpus(self):
-        rng = random.Random(11)
-        for _, lat in corpus():
-            _assert_or_tables(lat, rng)
-
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(lattices(), st.randoms(use_true_random=False))
+    @corpus_examples(random.Random(11))
     def test_random_lattices(self, order, rng):
         _assert_or_tables(build(*order), rng)

@@ -8,17 +8,17 @@ labeled corpus and on random semidistributive lattices.
 """
 
 import random
-import textwrap
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given
 
 import kappalat
 from helpers import (
+    corpus_examples,
     jirr_sufficiency_failures,
     labeled_corpus,
-    run_optimized,
+    sd_lattice,
     small_labeled_corpus,
 )
 from kappalat import (
@@ -38,14 +38,13 @@ from kappalat import (
     kappa_leq,
     mask_of,
     order_poset,
-    semidistributive_witness,
     x_down,
 )
 from kappalat.cli import cli_main
 from kappalat.errors import InternalInvariant
 from kappalat.intervals import derived_poset, label_tables
 from kappalat.orders import _check_joinands, _core_labels
-from strategies import build, lattices
+from strategies import lattices
 
 
 def _orders_match_pointwise(lat, lab):
@@ -81,32 +80,16 @@ def _tables_match_pointwise(lat, lab):
         assert sum(1 << jirr_ids[p] for p in bits_of(compressed)) == expected
 
 
-def _sd_lattice(order):
-    lat = build(*order)
-    assume(semidistributive_witness(lat) is None)
-    return lat, full_labeling(lat)
-
-
-class TestOnCorpus:
-    def test_orders_match_kappa_leq_and_clo_leq(self):
-        for name, lat, lab in small_labeled_corpus(40):
-            _orders_match_pointwise(lat, lab)
-
-    def test_tables_match_single_element_functions(self):
-        for name, lat, lab in labeled_corpus():
-            _tables_match_pointwise(lat, lab)
-
-
-@settings(deadline=None)
 @given(lattices())
+@corpus_examples(limit=40)
 def test_orders_match_pointwise_on_random_lattices(order):
-    _orders_match_pointwise(*_sd_lattice(order))
+    _orders_match_pointwise(*sd_lattice(order))
 
 
-@settings(deadline=None)
 @given(lattices())
+@corpus_examples()
 def test_tables_match_pointwise_on_random_lattices(order):
-    _tables_match_pointwise(*_sd_lattice(order))
+    _tables_match_pointwise(*sd_lattice(order))
 
 
 def test_check_and_compare_build_each_table_once(tmp_path, monkeypatch, capsys):
@@ -370,49 +353,3 @@ def test_table_builders_call_no_single_element_path(monkeypatch):
     for name, lat, lab in corpus:
         extended_kappa_table(lat, lab)
         _core_labels(lat, lab)
-
-
-def test_extended_kappa_table_checks_survive_python_O():
-    # fig1's last arrow 0* -> 3* carries label 3, and 3* is the extended
-    # kappa image of 3; relabeling that arrow with the bottom changes the
-    # up-labels of 3*, so the image check of 3 (the first x it affects in
-    # id order) must fail even with asserts stripped
-    script = textwrap.dedent(
-        """
-        from kappalat import extended_kappa_table, full_labeling, gen_fig1
-        from kappalat.errors import InternalInvariant
-
-        assert False, "asserts run, so -O is not in effect"
-        lat = gen_fig1()
-        lab = full_labeling(lat)
-        lab.gamma[lat.id_of("0*"), lat.id_of("3*")] = lat.bottom
-        try:
-            extended_kappa_table(lat, lab)
-        except InternalInvariant as exc:
-            print("InternalInvariant:", exc)
-        """
-    )
-    assert run_optimized(script) == (
-        "InternalInvariant: up-arrow labels of extended_kappa('3') differ from its joinands\n"
-    )
-
-
-def test_core_label_check_survives_python_O():
-    # without kappa_dual every core label set is empty (see
-    # test_clo_order_checks_each_element_joins_its_core_labels)
-    script = textwrap.dedent(
-        """
-        from kappalat import full_labeling, gen_fig1, order_poset
-        from kappalat.errors import InternalInvariant
-
-        assert False, "asserts run, so -O is not in effect"
-        lat = gen_fig1()
-        try:
-            order_poset(lat, full_labeling(lat)._replace(kappa_dual={}), "clo")
-        except InternalInvariant as exc:
-            print("InternalInvariant:", exc)
-        """
-    )
-    assert run_optimized(script) == (
-        "InternalInvariant: '1' is not the join of its core label set\n"
-    )

@@ -1,8 +1,10 @@
 """Random lattices and bounded posets against the brute-force oracles.
 
-The fixed corpus is almost all semidistributive lattices; these inputs
-also reach the non-lattice and non-semidistributive branches of the
-lattice test, the semidistributivity test and the arrow labels.
+The fixed corpus is all semidistributive lattices; random inputs also
+reach the non-lattice and non-semidistributive branches of the lattice
+test, the semidistributivity test and the arrow labels.  The tests
+marked @corpus_examples run each corpus lattice first, as an explicit
+example, so one test checks its property on both.
 """
 
 import contextlib
@@ -22,10 +24,13 @@ from helpers import (
     brute_order_defect,
     brute_sd_violations,
     brute_semidistributive,
+    corpus_examples,
     first_sd_witness,
+    m3,
     order_closure,
     order_masks,
     per_cover_labels,
+    sd_lattice,
     sweep_first_missing_meet,
 )
 from kappalat import (
@@ -50,7 +55,7 @@ from kappalat.intervals import interval_tops
 from strategies import bounded_posets, build, large_orders, lattices, with_implied_cover
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.one_of(lattices(), bounded_posets()))
 def test_lattice_test_and_witness_pair(order):
     n, covers = order
@@ -67,7 +72,7 @@ def test_lattice_test_and_witness_pair(order):
 ORDERS = st.one_of(lattices(), bounded_posets())
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.one_of(ORDERS, with_implied_cover(ORDERS)))
 def test_lower_cover_pass_decides_implied_covers_and_lattices(order):
     # the one pass over pairs of lower covers passes iff the order is a
@@ -109,7 +114,7 @@ def test_every_pair_of_lower_covers_is_tested(covers, message):
         build(7, covers)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(large_orders())
 def test_lattice_test_on_large_orders_against_pair_sweep(order):
     n, covers = order
@@ -122,15 +127,14 @@ def test_lattice_test_on_large_orders_against_pair_sweep(order):
             build(n, covers)
 
 
-@settings(deadline=None)
 @given(lattices())
+@corpus_examples()
 def test_irreducibles_match_star_definition(order):
     lat = build(*order)
     assert join_irreducibles(lat) == sum(1 << x for x in range(lat.n) if lat.star_down(x) != x)
     assert meet_irreducibles(lat) == sum(1 << x for x in range(lat.n) if lat.star_up(x) != x)
 
 
-@settings(deadline=None)
 @given(lattices())
 def test_sd_verdict_and_witness_triple(order):
     lat = build(*order)
@@ -158,7 +162,6 @@ FIBER_ORDER_CASE = (
 )
 
 
-@settings(deadline=None)
 @given(lattices())
 @example(FIBER_ORDER_CASE)
 def test_sd_witness_is_the_first_triple(order):
@@ -169,8 +172,8 @@ def test_sd_witness_is_the_first_triple(order):
         assert found == first_sd_witness(lat)
 
 
-@settings(deadline=None)
 @given(lattices())
+@corpus_examples()
 def test_interval_tops_match_the_oracles(order):
     lat = build(*order)
     for kind, oracle in (("wide", is_wide_interval), ("ice", is_ice_interval)):
@@ -181,31 +184,26 @@ def test_interval_tops_match_the_oracles(order):
     assert interval_tops(lat, "all") is lat.up
 
 
-@settings(deadline=None)
 @given(lattices())
+@corpus_examples(limit=40)
 def test_families_match_the_brute_oracle(order):
-    lat = build(*order)
-    if semidistributive_witness(lat) is not None:
-        return
-    lab = full_labeling(lat)
+    # chain(1) has no join-irreducibles: the compressed masks have width 0
+    lat, lab = sd_lattice(order)
     for kind in ("all", "wide", "ice"):
         assert derived_poset(lat, lab, kind) == brute_family(lat, lab, kind)
 
 
-@settings(deadline=None)
 @given(lattices())
+@corpus_examples()
 def test_core_label_sets_are_wide_with_the_core_interval_as_witness(order):
-    lat = build(*order)
-    if semidistributive_witness(lat) is not None:
-        return
-    lab = full_labeling(lat)
+    # the paper pairs x with the wide interval [x_down, x]
+    lat, lab = sd_lattice(order)
     wide = derived_poset(lat, lab, "wide")
     witness = dict(zip(wide.members, wide.witnesses))
     for x in range(lat.n):
         assert witness[core_label(lat, lab, x)] == (x_down(lat, x), x)
 
 
-@settings(deadline=None)
 @given(lattices())
 def test_arrow_labels(order):
     lat = build(*order)
@@ -253,8 +251,9 @@ def test_arrow_labels(order):
         assert str(info.value) == semidistributive_witness(lat).describe(lat)
 
 
-@settings(deadline=None)
 @given(lattices())
+@corpus_examples()
+@example((m3().n, list(m3().covers)))
 def test_one_pass_arrow_labels_match_the_per_cover_kernels(order):
     # the dual swaps join and meet labels, so a missing label of either kind is reached
     for lat in (build(*order), build(*dual(*order))):
@@ -288,7 +287,6 @@ def check_oracle(lat) -> tuple[int, str]:
     return 0, "\n".join([*lines, ""])
 
 
-@settings(deadline=None)
 @given(lattices())
 def test_check_matches_the_two_step_oracle(order):
     for lat in (build(*order), build(*dual(*order))):
@@ -301,14 +299,12 @@ def test_check_matches_the_two_step_oracle(order):
         assert (code, out.getvalue()) == check_oracle(lat)
 
 
-@settings(deadline=None)
 @given(lattices())
 def test_transitive_reduction_of_lattices(order):
     lat = build(*order)
     assert _backend.transitive_reduction(lat.up) == sorted(brute_covers(lat))
 
 
-@settings(deadline=None)
 @given(bounded_posets())
 def test_transitive_reduction_of_posets(order):
     n, covers = order

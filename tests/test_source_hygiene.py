@@ -26,6 +26,8 @@
 - No top-level function name is defined twice among the modules under
   ``tests/``: a shared test helper lives in one module, which the others
   import.
+- No ``tests/test_*.py`` imports from another: shared test code lives in
+  ``tests/helpers.py`` and ``tests/strategies.py``.
 - Every module of the package and of ``tests/`` parses as the oldest
   Python that ``pyproject.toml``'s ``requires-python`` admits.
 - Every top-level function of ``tests/helpers.py`` and
@@ -33,8 +35,9 @@
   by a helper that is, so no oracle is left without a caller.
 - README's ``## Limits`` section cites each size cap of the package
   (``lattice.MAX_ELEMENTS``, the four ``generators.*_CAP``,
-  ``intervals.MAX_INTERVALS`` and ``intervals.MAX_LABEL_SETS``) with the
-  value the code has, so raising a cap makes its README edit mandatory.
+  ``intervals.MAX_INTERVALS``, ``intervals.MAX_LABEL_SETS`` and
+  ``orders.MAX_ORACLE_ELEMENTS``) with the value the code has, so raising
+  a cap makes its README edit mandatory.
 """
 
 import ast
@@ -53,6 +56,7 @@ PACKAGE = TESTS.parent / "src" / "kappalat"
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 TEST_MODULES = sorted(TESTS.glob("*.py"))
+TEST_FILES = sorted(TESTS.glob("test_*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -198,6 +202,23 @@ def duplicate_functions(sources: dict[str, str]) -> list[str]:
     ]
 
 
+def cross_test_imports(sources: dict[str, str]) -> list[str]:
+    """Imports of a ``test_*`` module in sources (file name -> text)."""
+    found = []
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [
+                f"{name} imports {m} (line {node.lineno})" for m in modules if m.startswith("test_")
+            ]
+    return found
+
+
 def unreached_helpers(helpers: dict[str, str], tests: Iterable[str]) -> list[str]:
     """Top-level functions of helpers (module name -> text) that no module
     of tests imports, directly or through the helpers such an import reads."""
@@ -236,6 +257,7 @@ README_LIMITS = {
     ("intervals", "MAX_LABEL_SETS"): [
         r"more than ([\d,]+) distinct (?:\w+ )?label sets", r"label sets; the cap is ([\d,]+)"
     ],
+    ("orders", "MAX_ORACLE_ELEMENTS"): [r"at most ([\d,]+) elements"],
 }
 
 
@@ -405,9 +427,26 @@ def test_syntax_above_the_python_floor_is_reported():
         ast.parse(source, feature_version=python_floor())
 
 
+def test_no_test_module_imports_another():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in TEST_FILES}
+    assert cross_test_imports(sources) == []
+
+
+def test_cross_test_import_is_reported():
+    sources = {
+        "test_a.py": "from helpers import m3\nfrom test_b import _sd_lattice\n",
+        "test_b.py": "import strategies, test_a\nfrom test_c import x\n",
+    }
+    assert cross_test_imports(sources) == [
+        "test_a.py imports test_b (line 2)",
+        "test_b.py imports test_a (line 1)",
+        "test_b.py imports test_c (line 2)",
+    ]
+
+
 def test_every_test_helper_has_a_caller():
     helpers = {m: (TESTS / f"{m}.py").read_text(encoding="utf-8") for m in ("helpers", "strategies")}
-    tests = [p.read_text(encoding="utf-8") for p in TESTS.glob("test_*.py")]
+    tests = [p.read_text(encoding="utf-8") for p in TEST_FILES]
     assert unreached_helpers(helpers, tests) == []
 
 
