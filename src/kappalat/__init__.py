@@ -25,7 +25,7 @@ _EXPORTS = {
     ],
     "intervals": [
         "SetFamilyPoset", "derived_poset", "down_jlabel", "is_ice_interval",
-        "is_wide_interval", "jlabel", "jlabel_scan", "up_jlabel",
+        "is_wide_interval", "jlabel", "up_jlabel",
     ],
     "io": ["emit_dot", "emit_lattice", "parse_lattice"],
     "labeling": [
@@ -36,7 +36,7 @@ _EXPORTS = {
     "orders": [
         "OrderRelation", "cjr", "clo_leq", "compare_orders", "core_label",
         "extended_kappa", "extended_kappa_table", "first_order_mismatch", "kappa_leq",
-        "order_poset", "sufficiency_failures", "verify_cjr_oracle", "x_down",
+        "order_poset", "sufficiency_failures", "x_down",
     ],
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -73,17 +73,6 @@ def jlabel(lattice: Lattice, labeling: ArrowLabeling, iv: Interval) -> int:
     return mask_of(j for j in bits_of(lattice.down[b] & labeling.jirr) if up_a >> kappa[j] & 1)
 
 
-def jlabel_scan(lattice: Lattice, labeling: ArrowLabeling, iv: Interval) -> int:
-    """Label set of [a, b] by scanning arrows: gamma over covers inside [a, b].
-
-    Walks only the uppers u in [a, b] and their lower covers l >= a.
-    """
-    a, b = lattice.check_interval(iv)
-    up_a = lattice.up[a]
-    arrows = ((u, l) for u in bits_of(up_a & lattice.down[b]) for l in lattice.cover_downs[u])
-    return mask_of(labeling.gamma[arrow] for arrow in arrows if up_a >> arrow[1] & 1)
-
-
 def down_jlabel(lattice: Lattice, labeling: ArrowLabeling, x: int) -> int:
     """Labels of the arrows starting at x (one per lower cover)."""
     return mask_of(labeling.gamma[(x, y)] for y in lattice.cover_downs[lattice.check_element(x)])

@@ -11,7 +11,9 @@ JSON and DOT text is written directly, not through ``json.dumps``: each
 element name is encoded once, with the same ``encode_basestring`` that
 ``json.dumps(..., ensure_ascii=False)`` uses, and the layout is
 byte-identical to ``json.dumps(document, indent=2, ensure_ascii=False)``
-of the matching ``*_document`` dict.
+of the matching document dict: ``family_document`` or
+``relation_document`` here, and for a lattice the dict of its elements,
+covers and meta, which the test suite builds.
 
 The writers yield their text in document order, so no poset is held as
 one text: emit_family_* and emit_relation_* return the chunks,
@@ -87,16 +89,6 @@ def parse_lattice(text: str) -> Lattice:
     return parse_document(text)[0]
 
 
-def lattice_document(lattice: Lattice, meta: dict[str, str] | None = None) -> dict[str, Any]:
-    doc: dict[str, Any] = {
-        "elements": list(lattice.names),
-        "covers": [[lattice.names[u], lattice.names[l]] for u, l in lattice.covers],
-    }
-    if meta:
-        doc["meta"] = {k: meta[k] for k in sorted(meta)}
-    return doc
-
-
 def _array(items: Iterable[str]) -> Iterator[str]:
     """JSON array of rendered items, laid out as json.dumps(indent=2) at depth 1."""
     lead = "[\n    "
@@ -133,7 +125,11 @@ def _pairs(pairs: Sequence[tuple[int, int]], names: Sequence[str] | None = None)
 
 
 def emit_lattice(lattice: Lattice, meta: dict[str, str] | None = None) -> str:
-    """The canonical document of lattice_document(lattice, meta) as text."""
+    """The canonical lattice document as text.
+
+    Elements in id order, covers as [upper, lower] name pairs in cover
+    order, and the meta map, if nonempty, with its keys sorted.
+    """
     enc = list(map(encode_basestring, lattice.names))
     fields: dict[str, Any] = {
         "elements": enc,

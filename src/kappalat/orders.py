@@ -38,13 +38,12 @@ from typing import NamedTuple
 
 from . import _backend
 from ._bits import bits_of, lowest_bit
-from .errors import InternalInvariant, TooLarge
+from .errors import InternalInvariant
 from .intervals import down_jlabel, jlabel, label_tables, supersets, up_jlabel
 from .lattice import Lattice
 from .labeling import ArrowLabeling
 
 ORDER_KINDS = ("kappa", "clo")
-MAX_ORACLE_ELEMENTS = 12  # verify_cjr_oracle walks all 2^n subsets
 
 
 def _check_joinands(lattice: Lattice, labeling: ArrowLabeling, x: int, rep: int) -> list[int]:
@@ -82,31 +81,6 @@ def cjr(lattice: Lattice, labeling: ArrowLabeling, x: int) -> int:
     rep = down_jlabel(lattice, labeling, x)
     _check_joinands(lattice, labeling, x, rep)
     return rep
-
-
-def verify_cjr_oracle(lattice: Lattice, x: int, rep: int) -> bool:
-    """Exhaustive check that rep is the canonical join representation of x.
-
-    Enumerates every subset B of the lattice with join x and tests that
-    rep refines B, plus the antichain and join conditions.  Exponential;
-    refuses lattices above MAX_ORACLE_ELEMENTS elements.
-    """
-    lattice.check_element(x)
-    n = lattice.n
-    if n > MAX_ORACLE_ELEMENTS:
-        raise TooLarge(f"oracle enumerates 2^{n} subsets; capped at {MAX_ORACLE_ELEMENTS} elements")
-    ids = list(bits_of(rep))
-    if lattice.join(ids) != x:
-        return False
-    for i in ids:
-        if lattice.up[i] & rep != 1 << i:
-            return False
-    for bmask in range(1 << n):
-        if lattice.join(bits_of(bmask)) != x:
-            continue
-        if any(lattice.up[a] & bmask == 0 for a in ids):
-            return False
-    return True
 
 
 def extended_kappa(lattice: Lattice, labeling: ArrowLabeling, x: int) -> int:

@@ -1,9 +1,14 @@
-"""Shared fixtures: the test corpus and independent brute-force oracles.
+"""Shared fixtures: the test corpus and every oracle the tests compare against.
 
-The oracles only use the leq relation, never the bitmask shortcuts or
-the arrow labelings, so they stay independent of the code paths they
-check.  corpus_examples runs a random-lattice property test on the
-corpus too, so each property is checked in one test over both.
+The brute-force oracles only use the leq relation, never the bitmask
+shortcuts or the arrow labelings, so they stay independent of the code
+paths they check.  The other oracles compute from a definition the
+package does not use: jlabel_scan reads an interval's label set off the
+arrows inside it, verify_cjr_oracle searches every subset for a
+canonical join representation, and lattice_document is the dict whose
+json.dumps emit_lattice must reproduce.  corpus_examples runs a
+random-lattice property test on the corpus too, so each property is
+checked in one test over both.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from kappalat import (
     is_ice_interval,
     is_wide_interval,
     jlabel,
+    mask_of,
     semidistributive_witness,
 )
 from kappalat.errors import (
@@ -141,6 +147,17 @@ def brute_family(lattice: Lattice, labeling, kind: str) -> SetFamilyPoset:
     )
 
 
+def jlabel_scan(lattice: Lattice, labeling: ArrowLabeling, iv: tuple[int, int]) -> int:
+    """Label set of [a, b] by its definition: gamma over the covers inside [a, b].
+
+    Walks only the uppers u in [a, b] and their lower covers l >= a.
+    """
+    a, b = iv
+    up_a = lattice.up[a]
+    arrows = ((u, l) for u in bits_of(up_a & lattice.down[b]) for l in lattice.cover_downs[u])
+    return mask_of(labeling.gamma[arrow] for arrow in arrows if up_a >> arrow[1] & 1)
+
+
 def brute_join(lattice: Lattice, xs) -> int | None:
     """Unique minimal common upper bound by leq scan, or None."""
     xs = list(xs)
@@ -199,34 +216,28 @@ def brute_semidistributive(lattice: Lattice) -> bool:
     return True
 
 
+def verify_cjr_oracle(lattice: Lattice, x: int, rep: int) -> bool:
+    """Whether rep is the canonical join representation of x, by subset search.
+
+    rep must be an antichain joining to x that refines every subset B of
+    the lattice joining to x: each element of rep lies below some element
+    of B.  Exponential in the lattice size.
+    """
+    ids = list(bits_of(rep))
+    if lattice.join(ids) != x or any(lattice.up[i] & rep != 1 << i for i in ids):
+        return False
+    return not any(
+        lattice.join(bits_of(b)) == x and any(lattice.up[i] & b == 0 for i in ids)
+        for b in range(1 << lattice.n)
+    )
+
+
 def brute_tables(lattice: Lattice) -> tuple[list[list[int]], list[list[int]]]:
     """Join and meet tables recomputed pair by pair from leq alone."""
     r = range(lattice.n)
     join = [[brute_join(lattice, (x, y)) for y in r] for x in r]
     meet = [[brute_meet(lattice, (x, y)) for y in r] for x in r]
     return join, meet
-
-
-def brute_sd_violations(lattice: Lattice) -> set[tuple[str, int, int, int]]:
-    """Every (law, a, x, y) breaking a pairwise semidistributive law.
-
-    A finite lattice satisfies the subset laws of brute_semidistributive
-    iff it satisfies them for pairs, so this set is empty iff the lattice
-    is semidistributive.
-    """
-    join, meet = brute_tables(lattice)
-    n = lattice.n
-    found = set()
-    for a in range(n):
-        for x in range(n):
-            for y in range(n):
-                v = join[a][x]
-                if v == join[a][y] and join[a][meet[x][y]] != v:
-                    found.add(("join", a, x, y))
-                v = meet[a][x]
-                if v == meet[a][y] and meet[a][join[x][y]] != v:
-                    found.add(("meet", a, x, y))
-    return found
 
 
 def first_sd_witness(lattice: Lattice) -> tuple[str, int, int, int] | None:
@@ -236,6 +247,8 @@ def first_sd_witness(lattice: Lattice) -> tuple[str, int, int, int] | None:
     fibers of x -> a v x (dually a ^ x) are walked in order of their
     first x, and the first pair x < y of a fiber (in lex order) with
     a v (x ^ y) off the fiber value (dually a ^ (x v y)) is returned.
+    So None means no pair breaks a pairwise law, which for a finite
+    lattice is semidistributivity (brute_semidistributive).
     """
     join, meet = brute_tables(lattice)
     n = lattice.n
@@ -410,6 +423,17 @@ def first_input_defect(names, covers) -> tuple[type, str] | None:
             return RedundantCover, f"cover {upper!r} > {lower!r} given twice"
         pairs.add((upper, lower))
     return None
+
+
+def lattice_document(lattice: Lattice, meta: dict[str, str] | None = None) -> dict:
+    """The dict whose json.dumps(indent=2, ensure_ascii=False) emit_lattice writes."""
+    doc = {
+        "elements": list(lattice.names),
+        "covers": [[lattice.names[u], lattice.names[l]] for u, l in lattice.covers],
+    }
+    if meta:
+        doc["meta"] = {k: meta[k] for k in sorted(meta)}
+    return doc
 
 
 def induced_lattice(weak: Lattice, ids) -> Lattice:

@@ -24,7 +24,9 @@ from helpers import (
     cambrian_sym,
     corpus,
     induced_lattice,
+    jlabel_scan,
     m3,
+    verify_cjr_oracle,
     weak_order,
 )
 from kappalat import (
@@ -48,13 +50,11 @@ from kappalat import (
     is_ice_interval,
     is_wide_interval,
     jlabel,
-    jlabel_scan,
     kappa_leq,
     order_poset,
     parse_lattice,
     semidistributive_witness,
     up_jlabel,
-    verify_cjr_oracle,
 )
 from kappalat.errors import NotALattice
 

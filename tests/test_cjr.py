@@ -1,11 +1,15 @@
 """Canonical join representations, extended kappa, and the two orders."""
 
-from itertools import combinations
-
 import pytest
 from hypothesis import given
 
-from helpers import corpus_examples, labeled_corpus, sd_lattice, small_labeled_corpus
+from helpers import (
+    corpus_examples,
+    labeled_corpus,
+    sd_lattice,
+    small_labeled_corpus,
+    verify_cjr_oracle,
+)
 from kappalat import (
     bits_of,
     cjr,
@@ -25,10 +29,8 @@ from kappalat import (
     mask_of,
     order_poset,
     sufficiency_failures,
-    verify_cjr_oracle,
     x_down,
 )
-from kappalat.errors import TooLarge
 from strategies import lattices
 
 EX424_KAPPA_EDGES = {
@@ -120,30 +122,6 @@ class TestCjr:
         # {1} is an antichain, and every set with join 2 holds an element
         # above 1, but {1} joins to 1, so only the join condition rejects it
         assert not verify_cjr_oracle(chain, 2, 0b010)
-
-    def test_oracle_rejects_large(self):
-        with pytest.raises(TooLarge, match=r"^oracle enumerates 2\^13 subsets; capped at 12 elements$"):
-            verify_cjr_oracle(gen_chain(13), 0, 0)
-        with pytest.raises(TooLarge):
-            verify_cjr_oracle(gen_ex426(), 0, 0)
-
-    def test_orthogonal_antichains_are_unique(self):
-        # any orthogonal antichain of join-irreducibles joining to x is CJR(x)
-        for _, lat, lab in labeled_corpus():
-            if lat.n > 12:
-                continue
-            jirr = list(bits_of(lab.jirr))
-            for size in range(len(jirr) + 1):
-                for combo in combinations(jirr, size):
-                    if any(
-                        i != j and not lat.leq(i, lab.kappa[j])
-                        for i in combo
-                        for j in combo
-                    ):
-                        continue
-                    rep = mask_of(combo)
-                    x = lat.join(combo)
-                    assert rep == cjr(lat, lab, x)
 
 
 class TestExtendedKappa:

@@ -536,22 +536,26 @@ class TestClosedPipe:
         path = tmp_path / "weak_dihedral300.json"
         path.write_text(emit_lattice(gen_weak_dihedral(300)), encoding="utf-8")
         command, env = _module_command(argv[0], str(path), *argv[1:])
-        proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-        assert len(proc.stdout.read(100)) == 100
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert (proc.wait(timeout=60), err) == (0, b"")
+        with subprocess.Popen(
+            command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        ) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=60), err) == (0, b"")
 
     @pytest.mark.parametrize("argv", HELP_ARGVS, ids=["h", "check-h"])
     def test_help_exit_0_and_quiet(self, argv):
         command, env = _module_command(*argv)
         for unbuffered in ("", "1"):
             env["PYTHONUNBUFFERED"] = unbuffered
-            proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-            # closed long before the interpreter is up, so the help text meets a closed pipe
-            proc.stdout.close()
-            err = proc.stderr.read()
-            assert (proc.wait(timeout=60), err) == (0, b"")
+            with subprocess.Popen(
+                command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+            ) as proc:
+                # closed long before the interpreter is up, so the help text meets a closed pipe
+                proc.stdout.close()
+                err = proc.stderr.read()
+                assert (proc.wait(timeout=60), err) == (0, b"")
 
 
 class TestUnwritableStdout:

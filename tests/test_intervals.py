@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_family, canonical_key, labeled_corpus, small_labeled_corpus
+from helpers import (
+    brute_family,
+    canonical_key,
+    jlabel_scan,
+    labeled_corpus,
+    small_labeled_corpus,
+)
 from kappalat import (
     bits_of,
     core_label,
@@ -19,7 +25,6 @@ from kappalat import (
     is_ice_interval,
     is_wide_interval,
     jlabel,
-    jlabel_scan,
     mask_of,
 )
 from kappalat._backend import interval_images, transitive_reduction
@@ -57,8 +62,6 @@ class TestJlabel:
         lab = full_labeling(lat)
         with pytest.raises(InvalidInterval):
             jlabel(lat, lab, (lat.top, lat.bottom))
-        with pytest.raises(InvalidInterval):
-            jlabel_scan(lat, lab, (lat.top, lat.bottom))
 
     @settings(max_examples=80)
     @given(st.data())

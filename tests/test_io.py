@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import small_labeled_corpus
+from helpers import lattice_document, small_labeled_corpus
 from kappalat import (
     SetFamilyPoset,
     bits_of,
@@ -31,7 +31,6 @@ from kappalat.io import (
     emit_relation_dot,
     emit_relation_json,
     family_document,
-    lattice_document,
     parse_document,
     relation_document,
 )

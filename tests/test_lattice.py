@@ -38,7 +38,6 @@ from kappalat import (
     kappa_leq,
     meet_label,
     up_jlabel,
-    verify_cjr_oracle,
     x_down,
 )
 from kappalat import _backend
@@ -85,7 +84,6 @@ ELEMENT_QUERIES = {
     "kappa_leq_y": lambda lat, lab, x: kappa_leq(lat, lab, 0, x),
     "clo_leq_x": lambda lat, lab, x: clo_leq(lat, lab, x, 0),
     "clo_leq_y": lambda lat, lab, x: clo_leq(lat, lab, 0, x),
-    "verify_cjr_oracle": lambda lat, lab, x: verify_cjr_oracle(lat, x, 0),
 }
 
 

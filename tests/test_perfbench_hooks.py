@@ -9,11 +9,11 @@ caught here, with spans.py imported as it is.
 
 import importlib
 import importlib.util
-import json
 from pathlib import Path
 
 import pytest
 
+from helpers import m3
 from kappalat import emit_lattice, gen_fig1
 from kappalat.cli import cli_main
 
@@ -43,52 +43,32 @@ def _traced(spans, argv):
     return code, {name: t for (_, name), t in trace.self_times.items()}
 
 
-def test_wide_posets_time_the_interval_kernel(spans, tmp_path, capsys):
-    path = tmp_path / "fig1.json"
-    path.write_text(emit_lattice(gen_fig1()), encoding="utf-8")
-    code, times = _traced(spans, ["posets", str(path), "--kind", "wide"])
-    assert code == 0
-    assert times.get("kernel.interval_images", 0) > 0
-    assert times.get("intervals.derived_poset", 0) > 0
-
-
-def test_check_on_a_non_sd_lattice_times_the_sd_kernel(spans, tmp_path, capsys):
-    path = tmp_path / "m3.json"
-    doc = {
-        "elements": ["0", "a", "b", "c", "1"],
-        "covers": [["a", "0"], ["b", "0"], ["c", "0"], ["1", "a"], ["1", "b"], ["1", "c"]],
-    }
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    code, times = _traced(spans, ["check", str(path)])
-    assert code == 3
-    assert times.get("kernel.sd_witness", 0) > 0
-
-
-# for each kernel span, requests (lattice, argv after the path) that reach it
+# for each kernel span, a request (lattice, argv after the path) that
+# reaches it, the request's exit code and the library span enclosing it
 KERNEL_REQUESTS = [
-    ("kernel.first_missing_meet", "fig1", ["check"]),
-    ("kernel.sd_witness", "m3", ["check"]),
-    ("kernel.interval_images", "fig1", ["posets", "--kind", "wide"]),
-    ("kernel.transitive_reduction", "fig1", ["posets", "--kind", "wide"]),
-    ("kernel.transitive_reduction", "fig1", ["orders", "--kind", "clo"]),
+    ("kernel.first_missing_meet", "fig1", ["check"], 0, "lattice.build"),
+    ("kernel.sd_witness", "m3", ["check"], 3, "labeling.sd_witness"),
+    ("kernel.interval_images", "fig1", ["posets", "--kind", "wide"], 0, "intervals.derived_poset"),
+    ("kernel.transitive_reduction", "fig1", ["posets", "--kind", "wide"], 0, "intervals.derived_poset"),
+    ("kernel.transitive_reduction", "fig1", ["orders", "--kind", "clo"], 0, "orders.order_poset"),
 ]
-DOCUMENTS = {
-    "fig1": emit_lattice(gen_fig1()),
-    "m3": json.dumps({
-        "elements": ["0", "a", "b", "c", "1"],
-        "covers": [["a", "0"], ["b", "0"], ["c", "0"], ["1", "a"], ["1", "b"], ["1", "c"]],
-    }),
-}
+DOCUMENTS = {"fig1": emit_lattice(gen_fig1()), "m3": emit_lattice(m3())}
 
 
 def test_every_kernel_has_a_request(spans):
     kernels = {name for _, _, name in spans.ENTRY_POINTS if name.startswith("kernel.")}
-    assert {kernel for kernel, _, _ in KERNEL_REQUESTS} == kernels
+    assert {kernel for kernel, *_ in KERNEL_REQUESTS} == kernels
 
 
-@pytest.mark.parametrize(("kernel", "doc", "args"), KERNEL_REQUESTS)
-def test_kernel_is_timed_through_backend(spans, tmp_path, capsys, kernel, doc, args):
+@pytest.mark.parametrize(
+    ("kernel", "doc", "args", "code", "span"),
+    KERNEL_REQUESTS,
+    ids=[f"{kernel}-{doc}-args{i}" for i, (kernel, doc, *_) in enumerate(KERNEL_REQUESTS)],
+)
+def test_kernel_is_timed_through_backend(spans, tmp_path, capsys, kernel, doc, args, code, span):
     path = tmp_path / f"{doc}.json"
     path.write_text(DOCUMENTS[doc], encoding="utf-8")
-    _, times = _traced(spans, [args[0], str(path), *args[1:]])
+    exit_code, times = _traced(spans, [args[0], str(path), *args[1:]])
+    assert exit_code == code
     assert times.get(kernel, 0) > 0
+    assert times.get(span, 0) > 0

@@ -35,9 +35,8 @@
   by a helper that is, so no oracle is left without a caller.
 - README's ``## Limits`` section cites each size cap of the package
   (``lattice.MAX_ELEMENTS``, the four ``generators.*_CAP``,
-  ``intervals.MAX_INTERVALS``, ``intervals.MAX_LABEL_SETS`` and
-  ``orders.MAX_ORACLE_ELEMENTS``) with the value the code has, so raising
-  a cap makes its README edit mandatory.
+  ``intervals.MAX_INTERVALS`` and ``intervals.MAX_LABEL_SETS``) with the
+  value the code has, so raising a cap makes its README edit mandatory.
 """
 
 import ast
@@ -257,7 +256,6 @@ README_LIMITS = {
     ("intervals", "MAX_LABEL_SETS"): [
         r"more than ([\d,]+) distinct (?:\w+ )?label sets", r"label sets; the cap is ([\d,]+)"
     ],
-    ("orders", "MAX_ORACLE_ELEMENTS"): [r"at most ([\d,]+) elements"],
 }
 
 
