@@ -1,24 +1,15 @@
-"""Structural claims about each built-in lattice family."""
+"""Structural claims about each parametric lattice family."""
 
 from itertools import permutations
 
 import pytest
 
-from helpers import labeled_corpus
 from kappalat import (
-    bits_of,
-    compare_orders,
-    full_labeling,
-    gen_a2,
     gen_boolean,
     gen_chain,
-    gen_ex424,
-    gen_ex426,
-    gen_fig1,
     gen_weak_dihedral,
     gen_weak_sym,
     join_irreducibles,
-    semidistributive_witness,
 )
 from kappalat.errors import TooLarge
 
@@ -36,40 +27,6 @@ def _isomorphic(a, b) -> bool:
     return False
 
 
-class TestFixedLattices:
-    def test_fig1(self):
-        lat = gen_fig1()
-        assert join_irreducibles(lat).bit_count() == 5
-        assert lat.names[lat.top] == "0*" and lat.names[lat.bottom] == "0"
-        assert len(lat.covers) == 18
-
-    def test_a2(self):
-        lat = gen_a2()
-        assert lat.n == 5
-        assert lat.interval_count() == 13
-        jirr = {lat.names[j] for j in bits_of(join_irreducibles(lat))}
-        assert jirr == {"y", "z", "w"}
-
-    def test_ex424(self):
-        lat = gen_ex424()
-        assert semidistributive_witness(lat) is None
-        lab = full_labeling(lat)
-        assert compare_orders(lat, lab)[0] is not None
-        assert {lat.names[j] for j in bits_of(lab.jirr)} == {"j1", "j2", "j3", "j4"}
-
-    def test_ex426(self):
-        lat = gen_ex426()
-        assert lat.n == 14 and len(lat.covers) == 21
-        lab = full_labeling(lat)
-        assert compare_orders(lat, lab)[0] is None
-        for i in "123456":
-            assert lat.names[lab.kappa[lat.id_of(i)]] == i + "*"
-
-    def test_fixed_lattices_semidistributive(self):
-        for gen in (gen_fig1, gen_a2, gen_ex424, gen_ex426):
-            assert semidistributive_witness(gen()) is None
-
-
 class TestParametricFamilies:
     def test_chain(self):
         single = gen_chain(1)
@@ -84,12 +41,10 @@ class TestParametricFamilies:
         assert cube.n == 8 and len(cube.covers) == 12
 
     def test_weak_sym_small(self):
+        assert gen_weak_sym(1).n == 1
         two = gen_weak_sym(2)
         assert two.n == 2 and len(two.covers) == 1
-        three = gen_weak_sym(3)
-        assert three.n == 6
-        assert semidistributive_witness(three) is None
-        assert compare_orders(three, full_labeling(three))[0] is None
+        assert gen_weak_sym(3).n == 6
 
     def test_weak_sym_4_irreducibles(self):
         lat = gen_weak_sym(4)
@@ -102,10 +57,6 @@ class TestParametricFamilies:
         )
         assert join_irreducibles(lat).bit_count() == expected
 
-    def test_weak_orders_are_lattices(self):
-        for n in range(1, 6):
-            gen_weak_sym(n)  # build_lattice validates
-
     def test_dihedral_2_is_diamond(self):
         assert _isomorphic(gen_weak_dihedral(2), gen_boolean(2))
 
@@ -117,7 +68,6 @@ class TestParametricFamilies:
         assert lat.n == 18
         assert len(lat.cover_ups[lat.bottom]) == 2
         assert len(lat.cover_downs[lat.top]) == 2
-        assert semidistributive_witness(lat) is None
 
     def test_caps(self):
         with pytest.raises(TooLarge):
@@ -130,8 +80,3 @@ class TestParametricFamilies:
             gen_weak_dihedral(1001)
         with pytest.raises(TooLarge):
             gen_chain(0)
-
-    def test_weak_orders_coincide(self):
-        for name, lat, lab in labeled_corpus():
-            if name.startswith("weak"):
-                assert compare_orders(lat, lab)[0] is None

@@ -174,6 +174,10 @@ class TestIrreducibles:
         assert expected == {"y", "z", "w"}
         assert join_irreducibles(lat) == meet_irreducibles(lat)
 
+    def test_ex424(self):
+        lat = gen_ex424()
+        assert {lat.names[j] for j in bits_of(join_irreducibles(lat))} == {"j1", "j2", "j3", "j4"}
+
     def test_chain(self):
         lat = gen_chain(5)
         assert join_irreducibles(lat) == mask_of(range(1, 5))
@@ -214,6 +218,7 @@ class TestArrowLabels:
 
     def test_ex426_full_table(self):
         lat = gen_ex426()
+        assert lat.n == 14 and len(lat.covers) == 21
         lab = full_labeling(lat)
         seen = {
             (lat.names[u], lat.names[l]): lat.names[j]
