@@ -1,12 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
 This is the one place that checks the paper's examples (Tables 1 and 2,
-the order figures of fig1, ex426 and ex424, ex424's divergence, the
-extended kappa orbits), the identities asserted over the whole corpus (the
-kappa bijection, canonical join representations, the small exhaustive
-oracles, the JSON round trip) and the isomorphism theorem, with the
-coincidence of the kappa and core label orders on every weak order; the
-unit test modules do not repeat these checks.
+the order figures of fig1 and ex426, ex424's divergence, the extended
+kappa orbits), the identities asserted over the whole corpus (the kappa
+bijection, canonical join representations, the small exhaustive oracles,
+the JSON round trip) and the isomorphism theorem, with the coincidence of
+the kappa and core label orders on every weak order; the unit test modules
+do not repeat these checks.
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the lines.
 """
@@ -96,22 +96,6 @@ FIG1_ORDER_EDGES = {
     ("0*", "1*"), ("0*", "2*"), ("0*", "3*"), ("0*", "4*"), ("0*", "5*"),
 }
 
-EX424_KAPPA_EDGES = {
-    ("1", "x"), ("1", "y"), ("1", "z"), ("1", "j4"),
-    ("x", "j1"), ("x", "j2"),
-    ("y", "j1"), ("y", "j3"),
-    ("z", "j2"), ("z", "j3"),
-    ("j1", "0"), ("j2", "0"), ("j3", "0"), ("j4", "0"),
-}
-
-EX424_CLO_EDGES = {
-    ("1", "x"), ("1", "y"), ("1", "z"),
-    ("x", "j1"), ("x", "j2"), ("x", "j4"),
-    ("y", "j1"), ("y", "j3"),
-    ("z", "j2"), ("z", "j3"), ("z", "j4"),
-    ("j1", "0"), ("j2", "0"), ("j3", "0"), ("j4", "0"),
-}
-
 EX426_ORDER_EDGES = (
     {(str(i), "0") for i in range(1, 7)}
     | {("0*", f"{i}*") for i in range(1, 7)}
@@ -122,10 +106,6 @@ EX426_ORDER_EDGES = (
     | {("2*", "1"), ("2*", "6")}
     | {("1*", "3"), ("1*", "4")}
 )
-
-
-def _named_edges(lat, relation):
-    return {(lat.names[u], lat.names[l]) for u, l in relation.hasse}
 
 
 def _family_strings(lat, fam):
@@ -179,7 +159,7 @@ def test_criterion_3_order_figures():
         by_kappa = order_poset(lat, lab, "kappa")
         by_clo = order_poset(lat, lab, "clo")
         assert by_kappa.up == by_clo.up
-        assert _named_edges(lat, by_kappa) == expected
+        assert {(lat.names[u], lat.names[l]) for u, l in by_kappa.hasse} == expected
         assert len(by_kappa.hasse) == len(expected)
     _report(3, "kappa and clo orders agree and match the expected diagrams", time.perf_counter() - t0, 0.1)
 
@@ -192,10 +172,7 @@ def test_criterion_4_divergent_example():
     assert (lat.names[x], lat.names[y]) == ("j4", "x")
     assert clo_leq(lat, lab, x, y) and not kappa_leq(lat, lab, x, y)
     assert lat.names[failures[0]] == "x"
-    assert _named_edges(lat, order_poset(lat, lab, "kappa")) == EX424_KAPPA_EDGES
-    assert _named_edges(lat, order_poset(lat, lab, "clo")) == EX424_CLO_EDGES
-    _report(4, "ex424 orders diverge at (j4, x) and match the expected diagrams; "
-            "sufficiency fails first at x", time.perf_counter() - t0, 0.1)
+    _report(4, "ex424 orders diverge at (j4, x); sufficiency fails first at x", time.perf_counter() - t0, 0.1)
 
 
 def test_criterion_5_extended_kappa_orbits():

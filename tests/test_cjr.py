@@ -30,6 +30,27 @@ from kappalat import (
 )
 from strategies import lattices
 
+EX424_KAPPA_EDGES = {
+    ("1", "x"), ("1", "y"), ("1", "z"), ("1", "j4"),
+    ("x", "j1"), ("x", "j2"),
+    ("y", "j1"), ("y", "j3"),
+    ("z", "j2"), ("z", "j3"),
+    ("j1", "0"), ("j2", "0"), ("j3", "0"), ("j4", "0"),
+}
+
+EX424_CLO_EDGES = {
+    ("1", "x"), ("1", "y"), ("1", "z"),
+    ("x", "j1"), ("x", "j2"), ("x", "j4"),
+    ("y", "j1"), ("y", "j3"),
+    ("z", "j2"), ("z", "j3"), ("z", "j4"),
+    ("j1", "0"), ("j2", "0"), ("j3", "0"), ("j4", "0"),
+}
+
+
+def _named_edges(lat, relation):
+    return {(lat.names[u], lat.names[l]) for u, l in relation.hasse}
+
+
 def _assert_join_complex_is_flag(lat, lab):
     """The canonical join complex is flag: the cliques of the graph on jirr
     with i ~ j iff i <= kappa(j) and j <= kappa(i), read off lab.kappa and
@@ -126,6 +147,12 @@ class TestOrders:
         assert clo_leq(lat, lab, lat.id_of("4"), lat.id_of("5*"))
         for y in range(lat.n):
             assert clo_leq(lat, lab, lat.bottom, y)
+
+    def test_ex424_orders_match_figures(self):
+        lat = gen_ex424()
+        lab = full_labeling(lat)
+        assert _named_edges(lat, order_poset(lat, lab, "kappa")) == EX424_KAPPA_EDGES
+        assert _named_edges(lat, order_poset(lat, lab, "clo")) == EX424_CLO_EDGES
 
     def test_ex424_divergence(self):
         lat = gen_ex424()

@@ -4,10 +4,7 @@ extended_kappa_table, order_poset, compare_orders and
 intervals.label_tables read everything off per-lattice tables; here they
 are checked against cjr, extended_kappa, kappa_leq, clo_leq and jlabel,
 which compute one element or one interval from the definitions, on the
-labeled corpus and on random semidistributive lattices.  Each table's
-failure path has one test over one stream of corrupted labelings: the
-extended kappa table's in test_table_fails_where_pointwise_fails_first,
-the core label table's in test_clo_table_fails_where_pointwise_fails_first.
+labeled corpus and on random semidistributive lattices.
 """
 
 import random
@@ -204,16 +201,33 @@ def test_label_tables_reject_a_kappa_dual_value_that_is_not_join_irreducible():
     assert _raised(derived_poset, lat, bad, "wide") == message
 
 
-def _kappa_corruptions(name, lat, lab):
-    """(labeling, must fail) pairs: each arrow relabeled by the bottom or by
-    another join-irreducible, each of which must fail at some element; then
-    400 draws seeded by name, each relabeling one to three arrows and moving
-    kappa values at once, so that each of the table's checks is sometimes
-    the only one to fail."""
+def _first_pointwise_failure(lat, bad):
+    """The message of the first x in id order whose single-element
+    extended_kappa raises on bad, or None."""
+    return next(filter(None, (_raised(extended_kappa, lat, bad, x) for x in range(lat.n))), None)
+
+
+@pytest.mark.parametrize("name", ["fig1", "ex424", "boolean(3)", "weak_sym(3)"])
+def test_table_fails_where_pointwise_fails_first(name):
+    # relabel one arrow at a time by the bottom or another join-irreducible;
+    # each relabeling fails at some x, and the table must raise the message
+    # of the first x in id order whose single-element extended_kappa raises
+    lat, lab = next((lat, lab) for n, lat, lab in labeled_corpus() if n == name)
     for arrow in lat.covers:
         for label in (lat.bottom, *bits_of(lab.jirr)):
             if label != lab.gamma[arrow]:
-                yield lab._replace(gamma={**lab.gamma, arrow: label}), True
+                bad = lab._replace(gamma={**lab.gamma, arrow: label})
+                expected = _first_pointwise_failure(lat, bad)
+                assert expected is not None, (arrow, label)
+                assert _raised(extended_kappa_table, lat, bad) == expected
+
+
+@pytest.mark.parametrize("name", ["fig1", "ex424", "ex426", "boolean(3)", "weak_sym(4)"])
+def test_table_fails_where_pointwise_fails_first_on_random_corruptions(name):
+    # one to three arrows relabeled and kappa values moved at once, so
+    # that each of the table's checks is sometimes the only one to fail;
+    # the table raises what the pointwise scan raises first, or nothing
+    lat, lab = next((lat, lab) for n, lat, lab in labeled_corpus() if n == name)
     rng = random.Random(name)
     for _ in range(400):
         gamma, kappa = dict(lab.gamma), dict(lab.kappa)
@@ -222,22 +236,8 @@ def _kappa_corruptions(name, lat, lab):
                 gamma[rng.choice(lat.covers)] = rng.randrange(lat.n)
             else:
                 kappa[rng.choice(list(kappa))] = rng.randrange(lat.n)
-        yield lab._replace(gamma=gamma, kappa=kappa), False
-
-
-@pytest.mark.parametrize(
-    "name", ["fig1", "ex424", "ex426", "boolean(3)", "weak_sym(3)", "weak_sym(4)"]
-)
-def test_table_fails_where_pointwise_fails_first(name):
-    # the table must raise the message of the first x in id order whose
-    # single-element extended_kappa raises, and nothing where none does
-    lat, lab = next((lat, lab) for n, lat, lab in labeled_corpus() if n == name)
-    for bad, must_fail in _kappa_corruptions(name, lat, lab):
-        expected = next(
-            filter(None, (_raised(extended_kappa, lat, bad, x) for x in range(lat.n))), None
-        )
-        assert expected is not None or not must_fail
-        assert _raised(extended_kappa_table, lat, bad) == expected
+        bad = lab._replace(gamma=gamma, kappa=kappa)
+        assert _raised(extended_kappa_table, lat, bad) == _first_pointwise_failure(lat, bad)
 
 
 def _raised(fn, *args):
@@ -283,41 +283,47 @@ def _clo_expectations(lat, lab):
         by_clo = None if first is None else (
             f"{lat.names[first]!r} is not the join of its core label set"
         )
-        by_kappa = next(
-            filter(None, (_raised(extended_kappa, lat, bad, x) for x in range(lat.n))), None
-        )
-        yield bad, by_clo, by_kappa
+        yield bad, by_clo, _first_pointwise_failure(lat, bad)
 
 
 CLO_CORPUS = ["fig1", "ex424", "boolean(3)", "weak_sym(3)"]
 
 
-def test_clo_table_fails_where_pointwise_fails_first(monkeypatch):
+@pytest.mark.parametrize("name", CLO_CORPUS)
+def test_clo_table_fails_where_pointwise_fails_first(name):
+    # compare_orders raises what the kappa table raises, else the clo
+    # message; every lattice has some clo failure
+    lat, lab = next((lat, lab) for n, lat, lab in labeled_corpus() if n == name)
+    failed = 0
+    for bad, by_clo, by_kappa in _clo_expectations(lat, lab):
+        failed += by_clo is not None
+        assert _raised(compare_orders, lat, bad) == (by_kappa or by_clo)
+    assert failed
+
+
+def test_clo_check_computes_no_join_on_failure(monkeypatch):
     # the clo check must name the first x in id order that is not the join
     # of its core labels, off its two scans with no join, meet or x_down;
-    # compare_orders raises what the kappa table raises, else that, and is
-    # held to no join only where the kappa table passes, since its failure
-    # path reruns extended_kappa by design
+    # compare_orders is held to that only where the kappa table passes,
+    # since its failure path reruns extended_kappa by design
     cases = [
-        (n, lat, case)
+        (lat, case)
         for n, lat, lab in labeled_corpus() if n in CLO_CORPUS
         for case in _clo_expectations(lat, lab)
     ]
-    # every lattice has a clo failure, and some clo failure passes the kappa table
-    assert {n for n, _, (_, by_clo, _) in cases if by_clo} == set(CLO_CORPUS)
-    assert any(by_clo and not by_kappa for _, _, (_, by_clo, by_kappa) in cases)
-    for _, lat, (bad, by_clo, by_kappa) in cases:
-        assert _raised(compare_orders, lat, bad) == (by_kappa or by_clo)
 
     def refuse(*args):
         raise AssertionError("the clo check computed a join or meet")
 
     for owner, name in ((kappalat.orders, "x_down"), (Lattice, "join"), (Lattice, "meet")):
         monkeypatch.setattr(owner, name, refuse)
-    for _, lat, (bad, by_clo, by_kappa) in cases:
+    failed = 0
+    for lat, (bad, by_clo, by_kappa) in cases:
         assert _raised(order_poset, lat, bad, "clo") == by_clo
         if by_kappa is None:
+            failed += by_clo is not None
             assert _raised(compare_orders, lat, bad) == by_clo
+    assert failed
 
 
 def test_table_builders_call_no_single_element_path(monkeypatch):
